@@ -6,8 +6,10 @@ GO ?= go
 # Benchmarks whose B/op and allocs/op we track across PRs: the end-to-end
 # solvers, the codec/stream data plane, and the word-parallel observe-plane
 # kernels (run-based Observe, sieve grid, exact sub-solve, and the
-# bit-sliced grid kernel under each dispatch body).
-BENCH_PATTERN ?= BenchmarkSolve|BenchmarkGreedySetCover|BenchmarkCodec|BenchmarkStream|BenchmarkObserveRuns|BenchmarkSieveGrid|BenchmarkExactSubsolve|BenchmarkGridAndCountRuns
+# bit-sliced grid kernel under each dispatch body). The solver pattern is
+# spelled out so the replay legs (BenchmarkSolveFileReplay) stay in
+# BENCH_replay.json only.
+BENCH_PATTERN ?= BenchmarkSolve(SetCover|MaxCoverage)|BenchmarkGreedySetCover|BenchmarkCodec|BenchmarkStream|BenchmarkObserveRuns|BenchmarkSieveGrid|BenchmarkExactSubsolve|BenchmarkGridAndCountRuns
 # Packages holding tracked benchmarks (the root API plus the internal hot
 # paths the observe-plane benchmarks live next to).
 BENCH_PKGS ?= . ./internal/bitset ./internal/core ./internal/maxcover ./internal/offline
@@ -25,10 +27,11 @@ BENCH_GRID_BASELINE ?= BENCH_masks_scalar.json
 DATASET_BENCH_PATTERN ?= BenchmarkLoad
 DATASET_BENCH_JSON ?= BENCH_datasets.json
 
-# Replay-plane benchmarks: multi-pass file solves served from the plan
-# cache vs honest per-pass re-decoding, plus the isolated per-pass stream
-# cost. The on/off legs of BenchmarkSolveFileReplay are the tracked pair
-# (the replay leg must stay well ahead; see DESIGN.md §2.8).
+# Replay-plane benchmarks: multi-pass file solves served from a replay
+# plan — warm (on: plan reused across solves, as coverd does) and cold
+# (cold: load + plan + solve per iteration, as one covercli -replay run
+# does) — vs honest per-pass re-decoding (off), plus the isolated per-pass
+# stream cost (see DESIGN.md §2.8).
 REPLAY_BENCH_PATTERN ?= BenchmarkSolveFileReplay|BenchmarkPassOverhead
 REPLAY_BENCH_JSON ?= BENCH_replay.json
 # The frozen recording from the PR that introduced the replay plane,
@@ -89,7 +92,7 @@ bench-json:
 ## (informational; never fails on a regression). bench-delta.txt tracks the
 ## long-running CSR baseline; bench-delta-grid.txt isolates the bit-sliced
 ## grid kernels against the pre-bit-slicing per-guess recording;
-## bench-delta-replay.txt tracks the plan-cache serving legs against the
+## bench-delta-replay.txt tracks the replay serving legs against the
 ## recording frozen when the replay plane landed.
 bench-compare: bench-json
 	$(GO) run ./cmd/benchcmp $(BENCH_BASELINE) $(BENCH_JSON) | tee bench-delta.txt
@@ -98,7 +101,8 @@ bench-compare: bench-json
 
 ## serve-smoke: end-to-end coverd check — start the daemon on a random
 ## port, upload a hardgen instance, solve remotely, diff against the
-## in-process SolveSetCover output, verify cache/dedup stats, check the
+## in-process SolveSetCover output and against covercli -replay on SCB1,
+## SCB2 and text copies of the instance, verify cache/dedup stats, check the
 ## /metrics exposition parses and its counters move across a solve, pin
 ## traceparent propagation end to end (job snapshot, access log, flight
 ## recorder, debug endpoints), and confirm a clean SIGTERM shutdown

@@ -62,7 +62,7 @@ func main() {
 		server  = flag.String("server", "", "coverd base URL; non-empty runs the solve remotely")
 		convert = flag.String("convert", "", "write the instance (-in or -gen) to this path instead of solving")
 		to      = flag.String("to", "scb2", "codec for -convert: scb2 (mmap-native), scb1 (compact varint), text")
-		replay  = flag.Bool("replay", false, "cache the first pass of a file-backed solve (elements + prebuilt run lists) and serve later passes from memory; results are identical, later passes skip decode entirely")
+		replay  = flag.Bool("replay", false, "load the -in file once (SCB2 mapped, SCB1/text decoded), record a replay plan (elements + prebuilt run lists) and serve every pass from memory, as coverd does; results are identical, but the whole instance must fit in memory")
 		trace   = flag.Bool("trace", false, "print a per-pass solve timeline (duration, items, space, live lanes) on stderr; with -server also propagate a traceparent and render the server's span tree; stdout is unchanged")
 		version = flag.Bool("version", false, "print version and build information, then exit")
 	)
@@ -367,36 +367,22 @@ func printSpans(spans []client.TraceSpan, depth int) {
 	}
 }
 
-// runFileStreaming drives Algorithm 1 directly over a file-backed stream:
-// each pass re-reads the file, so instances larger than memory work as
-// long as the algorithm's own footprint fits. The codec is auto-detected
-// (binary files stream with a reusable buffer and no re-parsing; text files
-// fall back to line scanning), and a mid-pass file error aborts the solve
-// through the driver rather than truncating a pass. The RNG discipline
-// (core.SolveFileRNG) matches core.Solve, so the result is bit-identical
-// to SolveSetCover on the decoded instance — which is also what a remote
-// (-server) run computes.
+// runFileStreaming runs Algorithm 1 over an instance file. By default each
+// pass re-reads the file through a file-backed stream — the paper's
+// disk-resident model: instances larger than memory work as long as the
+// algorithm's own footprint fits, and a mid-pass file error aborts the
+// solve. With -replay the file is loaded once and every pass is served
+// from a replay plan, coverd's path for a resident instance. Both print the
+// same stdout: core.SolveFileRNG matches core.Solve's RNG discipline, so
+// either equals SolveSetCover on the decoded instance — which is also what
+// a remote (-server) run computes.
 func runFileStreaming(path string, alpha int, eps float64, seed uint64, workers int, replay bool,
 	tr *streamcover.PassTrace) {
-	fs, err := stream.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer fs.Close()
-	fmt.Printf("instance (file-streamed): n=%d m=%d\n", fs.Universe(), fs.Len())
-	// -replay wraps the file stream in a pass-replay cache: the first pass
-	// decodes honestly while recording, later passes are served from memory.
-	// The result is bit-identical either way (replay-parity tests pin this),
-	// so the replay note goes to stderr and stdout stays diffable against a
-	// plain run.
-	var src stream.FileBacked = fs
-	var cache *stream.PlanCache
+	solve := solveFileHonest
 	if replay {
-		cache = stream.NewPlanCache(fs, 0)
-		src = cache
+		solve = solveFileReplay
 	}
-	cfg := core.Config{Alpha: alpha, Epsilon: eps, Workers: workers, Trace: sinkOf(tr)}
-	best, acc, err := core.SolveStream(src, cfg, core.SolveFileRNG(seed))
+	res, err := solve(path, alpha, eps, seed, workers, sinkOf(tr))
 	if err != nil {
 		if errors.Is(err, streamcover.ErrInfeasible) {
 			fmt.Println("alg1: infeasible (universe not coverable)")
@@ -404,13 +390,43 @@ func runFileStreaming(path string, alpha int, eps float64, seed uint64, workers 
 		}
 		fatal(err)
 	}
-	if cache != nil {
-		fmt.Fprintf(os.Stderr, "replay: plan %d bytes (%d passes served from memory)\n",
-			cache.PlanBytes(), acc.Passes-1)
-	}
-	fmt.Printf("alg1(α=%d): cover=%d sets (guess %d), %d passes, %d words\n",
-		alpha, len(best.Cover), best.Guess, acc.Passes, acc.PeakSpace)
+	fmt.Printf("alg1(α=%d): %s\n", alpha, res)
 	printLocalTrace(bitset.GridKernel(), tr)
+}
+
+func solveFileHonest(path string, alpha int, eps float64, seed uint64, workers int,
+	sink streamcover.TraceSink) (streamcover.SetCoverResult, error) {
+	fs, err := stream.Open(path)
+	if err != nil {
+		return streamcover.SetCoverResult{}, err
+	}
+	defer fs.Close()
+	fmt.Printf("instance (file-streamed): n=%d m=%d\n", fs.Universe(), fs.Len())
+	cfg := core.Config{Alpha: alpha, Epsilon: eps, Workers: workers, Trace: sink}
+	best, acc, err := core.SolveStream(fs, cfg, core.SolveFileRNG(seed))
+	return streamcover.SetCoverResult{
+		Cover: best.Cover, Guess: best.Guess, Passes: acc.Passes, SpaceWords: acc.PeakSpace,
+	}, err
+}
+
+func solveFileReplay(path string, alpha int, eps float64, seed uint64, workers int,
+	sink streamcover.TraceSink) (streamcover.SetCoverResult, error) {
+	inst, err := setsystem.Load(path)
+	if err != nil {
+		return streamcover.SetCoverResult{}, err
+	}
+	defer inst.Unmap()
+	fmt.Printf("instance (file-streamed): n=%d m=%d\n", inst.N, inst.M())
+	plan, err := streamcover.BuildReplayPlan(inst)
+	if err != nil {
+		return streamcover.SetCoverResult{}, err
+	}
+	// Plan bytes are serving memory, never part of the reported space, so
+	// the note goes to stderr and stdout stays diffable against -replay=false.
+	fmt.Fprintf(os.Stderr, "replay: plan %d bytes, every pass served from memory\n", plan.Bytes())
+	return streamcover.SolveSetCover(inst,
+		streamcover.WithAlpha(alpha), streamcover.WithEpsilon(eps), streamcover.WithSeed(seed),
+		streamcover.WithParallelism(workers), streamcover.WithReplayPlan(plan), streamcover.WithPassTrace(sink))
 }
 
 // runConvert loads the instance (-in file in any codec, or a generator)

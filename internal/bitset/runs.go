@@ -38,6 +38,22 @@ func AppendRuns(dst []Run, elems []int32) []Run {
 	return append(dst, Run{Word: w, Mask: mask})
 }
 
+// CountRuns returns len(AppendRuns(nil, elems)) without building the list:
+// the number of distinct 64-element words the sorted elements occupy. Plan
+// builders use it to size one run arena exactly before filling it.
+func CountRuns(elems []int32) int {
+	if len(elems) == 0 {
+		return 0
+	}
+	n, w := 1, elems[0]>>6
+	for _, e := range elems[1:] {
+		if ew := e >> 6; ew != w {
+			n, w = n+1, ew
+		}
+	}
+	return n
+}
+
 // RunsLen returns the number of elements a run list represents.
 func RunsLen(runs []Run) int {
 	c := 0

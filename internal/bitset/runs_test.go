@@ -34,6 +34,9 @@ func TestRunKernelsMatchScalar(t *testing.T) {
 				t.Fatalf("trial %d: runs not strictly word-sorted: %v", trial, runs)
 			}
 		}
+		if got := CountRuns(elems); got != len(runs) {
+			t.Fatalf("trial %d: CountRuns=%d, AppendRuns built %d", trial, got, len(runs))
+		}
 		if got := RunsLen(runs); got != len(elems) {
 			t.Fatalf("trial %d: RunsLen=%d want %d", trial, got, len(elems))
 		}
@@ -102,8 +105,8 @@ func TestRunKernelsMatchScalar(t *testing.T) {
 }
 
 func TestRunKernelsEmpty(t *testing.T) {
-	if runs := AppendRuns(nil, nil); len(runs) != 0 {
-		t.Fatalf("AppendRuns(nil) = %v, want empty", runs)
+	if runs := AppendRuns(nil, nil); len(runs) != 0 || CountRuns(nil) != 0 {
+		t.Fatalf("AppendRuns(nil) = %v, CountRuns(nil) = %d, want empty", runs, CountRuns(nil))
 	}
 	b := New(100)
 	b.Fill()

@@ -92,7 +92,8 @@ func Workers(p int) int {
 // Stable is implemented by streams whose returned Item.Elems remain valid
 // (and immutable) until the next Reset. Run broadcasts such items without
 // copying; items from other streams are copied into chunk-owned storage
-// before they cross goroutines.
+// before they cross goroutines. Run asks once, before the first pass, so
+// the answer must hold for every pass of the run.
 type Stable interface {
 	StableItems() bool
 }
@@ -155,6 +156,7 @@ func Run(s stream.Stream, children []stream.PassAlgorithm, cfg Config) (stream.A
 	}
 	p := newPool(min(Workers(cfg.Workers), nc), children, sBegin, sLast, sEnd, passDone)
 	defer p.close()
+	stable := stableItems(s)
 	var passStart time.Time
 	for pass := 0; pass < cfg.MaxPasses; pass++ {
 		if cancel != nil {
@@ -181,10 +183,7 @@ func Run(s stream.Stream, children []stream.PassAlgorithm, cfg Config) (stream.A
 		if cfg.Trace != nil {
 			replayed = replayedPass(s)
 		}
-		// Stability is queried per pass, after Reset: a stream can become
-		// stable between passes (stream.PlanCache finishes recording at the
-		// end of its first pass and serves immutable plan views thereafter).
-		items, serr := p.runPass(s, active, pass, chunkSize, stableItems(s), cfg.Context)
+		items, serr := p.runPass(s, active, pass, chunkSize, stable, cfg.Context)
 		if serr != nil {
 			// Mid-pass stream failure: mirror the sequential driver — account
 			// the partial pass, skip EndPass, surface the error.

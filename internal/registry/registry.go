@@ -24,12 +24,9 @@
 package registry
 
 import (
-	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sync"
 
 	"streamcover/client"
@@ -143,39 +140,21 @@ func (r *Registry) admit(inst *setsystem.Instance) (hash string, added bool, err
 	return hash, true, nil
 }
 
-// LoadFile admits an instance file. SCB2 files are opened through
-// setsystem.Map — zero-copy on supporting hosts, so the entry costs
+// LoadFile admits an instance file, read once by setsystem.Load: SCB2
+// files are mapped — zero-copy on supporting hosts, so the entry costs
 // mapped (page cache) bytes, not heap, and loading is O(pages touched)
-// rather than O(decode) — while SCB1 and text files decode onto the heap
-// as before. On a dedup hit the fresh mapping is released immediately.
+// rather than O(decode) — while SCB1 and text files decode onto the heap.
+// On a dedup hit the fresh mapping is released immediately.
 func (r *Registry) LoadFile(path string) (hash string, added bool, err error) {
-	f, err := os.Open(path)
+	inst, err := setsystem.Load(path)
 	if err != nil {
-		return "", false, err
+		return "", false, fmt.Errorf("registry: %w", err)
 	}
-	head := make([]byte, len(setsystem.SCB2Magic()))
-	_, rerr := io.ReadFull(f, head)
-	if rerr == nil && bytes.Equal(head, setsystem.SCB2Magic()) {
-		f.Close()
-		inst, err := setsystem.Map(path)
-		if err != nil {
-			return "", false, fmt.Errorf("registry: %w", err)
-		}
-		hash, added, err = r.admit(inst)
-		if err != nil || !added {
-			inst.Unmap()
-		}
-		return hash, added, err
+	hash, added, err = r.admit(inst)
+	if err != nil || !added {
+		inst.Unmap()
 	}
-	defer f.Close()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return "", false, err
-	}
-	inst, err := setsystem.ReadAuto(f)
-	if err != nil {
-		return "", false, fmt.Errorf("registry: %s: %w", path, err)
-	}
-	return r.admit(inst)
+	return hash, added, err
 }
 
 // evictFor drops unpinned LRU entries until size more bytes fit under the

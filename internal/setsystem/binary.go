@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Binary codec — the compact on-disk twin of the text format, designed so a
@@ -85,6 +86,35 @@ func WriteBinary(w io.Writer, in *Instance) error {
 
 // ReadBinary decodes an instance from the binary format and validates it.
 func ReadBinary(r io.Reader) (*Instance, error) {
+	return readBinary(r, remainingBytes(r))
+}
+
+// remainingBytes reports how many bytes r still holds, when r can tell: a
+// reader with Len (bytes.Reader, strings.Reader, bytes.Buffer) or a regular
+// file (size minus the current offset). It returns -1 for readers of
+// unknown length, such as pipes and HTTP request bodies.
+func remainingBytes(r io.Reader) int {
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		return v.Len()
+	case *os.File:
+		fi, err := v.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := v.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return int(max(fi.Size()-off, 0))
+	}
+	return -1
+}
+
+// readBinary is ReadBinary with the input's remaining byte count (-1 when
+// unknown) supplied by the caller, so ReadAuto can measure it before
+// wrapping r in a bufio.Reader.
+func readBinary(r io.Reader, remaining int) (*Instance, error) {
 	br, ok := r.(io.ByteReader)
 	if !ok {
 		br = bufio.NewReader(r)
@@ -99,11 +129,17 @@ func ReadBinary(r io.Reader) (*Instance, error) {
 		total += int(l)
 	}
 	// The header's total is untrusted until the payload backs it up: a tiny
-	// file can claim a multi-terabyte arena (small m, huge per-set lengths),
-	// so cap the upfront reservation and let append grow with the varints
-	// actually decoded — a truncated payload then errors long before the
-	// claimed size is ever allocated.
-	b.Grow(min(m, readChunkPrealloc), min(total, readChunkPrealloc))
+	// file can claim a multi-terabyte arena (small m, huge per-set lengths).
+	// Every set and every element costs at least one input byte, so when r
+	// knows its length the reservation is capped by the bytes actually
+	// present; otherwise it is capped at a fixed chunk and append grows with
+	// the varints actually decoded — either way a truncated payload errors
+	// long before the claimed size is ever allocated.
+	limit := readChunkPrealloc
+	if remaining >= 0 {
+		limit = remaining
+	}
+	b.Grow(min(m, limit), min(total, limit))
 	for i := 0; i < m; i++ {
 		prev := int32(-1)
 		for j := int32(0); j < lens[i]; j++ {

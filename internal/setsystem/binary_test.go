@@ -3,6 +3,9 @@ package setsystem
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -181,5 +184,59 @@ func TestReadAutoDispatch(t *testing.T) {
 	}
 	if _, err := ReadAuto(strings.NewReader("")); err == nil {
 		t.Fatal("ReadAuto accepted empty input")
+	}
+}
+
+// TestReadBinaryReservesFromKnownLength pins the decode reservation for
+// readers that know their length (bytes.Reader, regular files): past the
+// fixed clamp that guards readers of unknown length, the arena is still
+// reserved once, so allocations do not grow with the element count.
+func TestReadBinaryReservesFromKnownLength(t *testing.T) {
+	dir := t.TempDir()
+	encode := func(m int) (raw []byte, path string) {
+		in := Uniform(rng.New(3), 4096, m, 1200, 2000)
+		if in.TotalElems() <= readChunkPrealloc {
+			t.Fatalf("test premise broken: %d elements within the %d clamp", in.TotalElems(), readChunkPrealloc)
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		path = filepath.Join(dir, strconv.Itoa(m)+".scb1")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), path
+	}
+	readFile := func(path string) error {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		_, err = ReadAuto(f)
+		return err
+	}
+	readers := []struct {
+		name string
+		read func(raw []byte, path string) error
+	}{
+		{"ReadBinary/bytes.Reader", func(raw []byte, _ string) error { _, err := ReadBinary(bytes.NewReader(raw)); return err }},
+		{"ReadAuto/bytes.Reader", func(raw []byte, _ string) error { _, err := ReadAuto(bytes.NewReader(raw)); return err }},
+		{"ReadAuto/os.File", func(_ []byte, path string) error { return readFile(path) }},
+	}
+	smallRaw, smallPath := encode(120)
+	largeRaw, largePath := encode(480)
+	for _, r := range readers {
+		allocs := func(raw []byte, path string) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if err := r.read(raw, path); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if small, large := allocs(smallRaw, smallPath), allocs(largeRaw, largePath); small != large {
+			t.Errorf("%s: %.0f allocs for the small instance, %.0f for the 4x larger one", r.name, small, large)
+		}
 	}
 }

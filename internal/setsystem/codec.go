@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -113,17 +114,42 @@ func Read(r io.Reader) (*Instance, error) {
 // ReadAuto decodes an instance from any codec — SCB1 varint binary, SCB2
 // mmap-native binary, or text — sniffing the leading magic bytes. The SCB2
 // path decodes into the heap (uploads and pipes have no file to map; use
-// Map for the zero-copy open).
+// Map, or Load for a file in any codec, for the zero-copy open).
 func ReadAuto(r io.Reader) (*Instance, error) {
+	remaining := remainingBytes(r)
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(binaryMagic))
 	if err == nil {
 		switch string(head) {
 		case binaryMagic:
-			return ReadBinary(br)
+			return readBinary(br, remaining)
 		case scb2Magic:
 			return ReadSCB2(br)
 		}
 	}
 	return Read(br)
+}
+
+// Load reads an instance file in any codec, once: SCB2 opens through Map
+// (zero-copy where supported, so the instance aliases the mapped pages),
+// SCB1 and text decode onto the heap through ReadAuto. The caller owns the
+// result and should Unmap it when done (a no-op for heap instances).
+func Load(path string) (*Instance, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	head := make([]byte, len(scb2Magic))
+	if _, err := io.ReadFull(f, head); err == nil && string(head) == scb2Magic {
+		return Map(path)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	in, err := ReadAuto(f)
+	if err != nil {
+		return nil, fmt.Errorf("setsystem: %s: %w", path, err)
+	}
+	return in, nil
 }

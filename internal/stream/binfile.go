@@ -120,9 +120,6 @@ func (fs *BinaryFileStream) Err() error { return fs.err }
 // drivers must copy items before broadcasting them.
 func (fs *BinaryFileStream) StableItems() bool { return false }
 
-// ArrivalOrder implements Ordered: a file pass always replays file order.
-func (fs *BinaryFileStream) ArrivalOrder() Order { return Adversarial }
-
 // Close releases the underlying file.
 func (fs *BinaryFileStream) Close() error {
 	if fs.f != nil {

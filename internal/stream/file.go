@@ -156,9 +156,6 @@ func (fs *FileStream) Err() error { return fs.err }
 // never reused: concurrent drivers may broadcast items without copying.
 func (fs *FileStream) StableItems() bool { return true }
 
-// ArrivalOrder implements Ordered: a file pass always replays file order.
-func (fs *FileStream) ArrivalOrder() Order { return Adversarial }
-
 // Close releases the underlying file.
 func (fs *FileStream) Close() error {
 	if fs.f != nil {

@@ -92,16 +92,6 @@ const (
 	RandomEachPass
 )
 
-// Ordered is implemented by streams that know their arrival order. The
-// pass-replay plane uses it to pick a replay mode: orders that repeat every
-// pass (Adversarial, RandomOnce) can be replayed without touching the
-// source again, while RandomEachPass must keep driving the source so each
-// pass draws the same fresh permutation an honest re-stream would. Streams
-// that do not implement it get the conservative ID-driven replay.
-type Ordered interface {
-	ArrivalOrder() Order
-}
-
 func (o Order) String() string {
 	switch o {
 	case Adversarial:
@@ -174,9 +164,6 @@ func (s *InstanceStream) Next() (Item, bool) {
 // storage, which is never mutated: items stay valid across the whole run, so
 // concurrent drivers may broadcast them without copying.
 func (s *InstanceStream) StableItems() bool { return true }
-
-// ArrivalOrder implements Ordered.
-func (s *InstanceStream) ArrivalOrder() Order { return s.order }
 
 // PassAlgorithm is the state-machine shape of a multi-pass streaming
 // algorithm. The Driver calls BeginPass, then Observe for every item of the
@@ -273,8 +260,6 @@ func RunTraced(ctx context.Context, s Stream, alg PassAlgorithm, maxPasses int, 
 		}
 		s.Reset()
 		if sink != nil {
-			// Query after Reset: a replaying stream decides per pass, at Reset
-			// time, whether it serves the plan or drives the source honestly.
 			replayed = replayedPass(s)
 		}
 		alg.BeginPass(pass)

@@ -93,14 +93,16 @@ func TestRunTracedUnknownLanes(t *testing.T) {
 }
 
 // TestRunTracedReplayedFlags pins the replay annotation against a real
-// PlanCache: the recording pass is honest, every later pass is replayed.
+// replay stream: every pass is served from the plan.
 func TestRunTracedReplayedFlags(t *testing.T) {
 	in := testInstance(8)
-	pc := NewPlanCache(FromInstance(in, Adversarial, nil), 0)
-	defer pc.Close()
+	plan, err := BuildPlan(FromInstance(in, Adversarial, nil), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	alg := &traceAlg{passes: 3}
 	var tr Trace
-	acc, err := RunTraced(context.Background(), pc, alg, 5, &tr)
+	acc, err := RunTraced(context.Background(), Replay(FromInstance(in, Adversarial, nil), plan), alg, 5, &tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +114,8 @@ func TestRunTracedReplayedFlags(t *testing.T) {
 		t.Fatalf("got %d samples", len(samples))
 	}
 	for i, sm := range samples {
-		if want := i > 0; sm.Replayed != want {
-			t.Fatalf("pass %d replayed = %v, want %v (pass 0 records, the rest replay)",
-				i, sm.Replayed, want)
+		if !sm.Replayed {
+			t.Fatalf("pass %d not flagged replayed", i)
 		}
 		if sm.Items != 8 {
 			t.Fatalf("pass %d observed %d items", i, sm.Items)

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"streamcover/internal/core"
+	"streamcover/internal/setsystem"
 	"streamcover/internal/stream"
 )
 
 // Replay-plane benchmarks (make bench-json records them in
 // BENCH_replay.json): a multi-pass solve over a binary file pays the
-// varint decode once per pass; the plan cache pays it once per solve and
-// serves later passes from an in-memory arena with prebuilt run lists.
+// varint decode once per pass; a replay plan pays it once per load and
+// serves every pass from the resident instance with prebuilt run lists.
 
 // benchReplayInstance is sized so per-pass decode dominates the solve: a
 // planted instance with a known optimum lets the benchmark pin the guess
@@ -41,45 +42,68 @@ func writeBenchSCB1(b *testing.B, inst *Instance) string {
 	return path
 }
 
-// benchSolveFile measures steady-state serving cost: the stream (and, on
-// the replay leg, the plan cache) lives across solves, as in coverd, where
-// the plan is built lazily on the first job and attached to the registry
-// entry for every job after. The first iteration's recording pass is
-// amortized over b.N like any warm-up.
-func benchSolveFile(b *testing.B, replay bool) {
-	inst, opt := benchReplayInstance()
-	path := writeBenchSCB1(b, inst)
-	cfg := core.Config{Alpha: 3, SampleC: 2, OptGuesses: []int{opt}}
-	fs, err := stream.OpenBinaryFile(path)
-	if err != nil {
+// solveReplayed is one solve served from a plan, with the same options the
+// honest leg passes to core.SolveStream.
+func solveReplayed(b *testing.B, inst *Instance, plan *ReplayPlan, opt int) {
+	if _, err := SolveSetCover(inst, WithAlpha(3), WithSampleConstant(2), WithOptimumHint(opt),
+		WithSeed(7), WithReplayPlan(plan)); err != nil {
 		b.Fatal(err)
-	}
-	var src stream.Stream = fs
-	if replay {
-		pc := stream.NewPlanCache(fs, 0)
-		defer pc.Close()
-		src = pc
-	} else {
-		defer fs.Close()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, _, err := core.SolveStream(src, cfg, core.SolveFileRNG(7))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Feasible {
-			b.Fatal("solve infeasible; benchmark workload drifted")
-		}
 	}
 }
 
-// BenchmarkSolveFileReplay compares multi-pass SCB1 file solves served
-// from a plan cache (decode once, every later pass from memory) against
-// honest re-decoding of every pass of every solve.
+// BenchmarkSolveFileReplay compares multi-pass SCB1 file solves three
+// ways. on is coverd's warm path: the instance is loaded and its plan
+// built once, outside the timer, and every solve is served from the plan.
+// cold is one covercli -replay run per iteration: load (decode), plan,
+// solve. off re-decodes the file on every pass of every solve.
 func BenchmarkSolveFileReplay(b *testing.B) {
-	b.Run("on", func(b *testing.B) { benchSolveFile(b, true) })
-	b.Run("off", func(b *testing.B) { benchSolveFile(b, false) })
+	inst, opt := benchReplayInstance()
+	path := writeBenchSCB1(b, inst)
+	b.Run("on", func(b *testing.B) {
+		loaded, err := setsystem.Load(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := BuildReplayPlan(loaded)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			solveReplayed(b, loaded, plan, opt)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			loaded, err := setsystem.Load(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := BuildReplayPlan(loaded)
+			if err != nil {
+				b.Fatal(err)
+			}
+			solveReplayed(b, loaded, plan, opt)
+		}
+	})
+	b.Run("off", func(b *testing.B) {
+		fs, err := stream.OpenBinaryFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer fs.Close()
+		cfg := core.Config{Alpha: 3, SampleC: 2, OptGuesses: []int{opt}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, _, err := core.SolveStream(fs, cfg, core.SolveFileRNG(7))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Feasible {
+				b.Fatal("solve infeasible; benchmark workload drifted")
+			}
+		}
+	})
 }
 
 // BenchmarkPassOverhead isolates the per-pass stream cost the solver pays:
@@ -116,19 +140,18 @@ func BenchmarkPassOverhead(b *testing.B) {
 		}
 	})
 	b.Run("replay", func(b *testing.B) {
-		fs, err := stream.OpenBinaryFile(path)
+		loaded, err := setsystem.Load(path)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pc := stream.NewPlanCache(fs, 0)
-		defer pc.Close()
-		drain(b, pc) // recording pass: decode once, build the plan
-		if !pc.Ready() {
-			b.Fatal("plan cache not ready after the recording pass")
+		plan, err := BuildReplayPlan(loaded)
+		if err != nil {
+			b.Fatal(err)
 		}
+		s := stream.Replay(stream.FromInstance(loaded, Adversarial, nil), plan.plan)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			drain(b, pc)
+			drain(b, s)
 		}
 	})
 }

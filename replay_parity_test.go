@@ -2,12 +2,14 @@ package streamcover
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"streamcover/internal/core"
+	"streamcover/internal/setsystem"
 	"streamcover/internal/stream"
 )
 
@@ -118,60 +120,92 @@ func TestReplayPlanMatchesScalarGolden(t *testing.T) {
 	}
 }
 
-// TestPlanCacheFileSolveParity is covercli's -replay path end to end: a
-// PlanCache over a binary file stream must solve bit-identically to honest
-// re-decoding of the same file, including driver accounting, at every
-// worker count.
-func TestPlanCacheFileSolveParity(t *testing.T) {
+// TestReplayFileSolveParity is covercli's -replay path end to end: for
+// SCB1, SCB2 (mapped) and text copies of the parity instance, loading the
+// file once and solving from a replay plan must equal honest re-streaming
+// of the same file — cover, guess, passes and space — at every worker
+// count, and stay pinned to the scalar golden so both sides cannot drift
+// together.
+func TestReplayFileSolveParity(t *testing.T) {
 	inst, _ := GeneratePlanted(1, 2048, 256, 5)
-	path := filepath.Join(t.TempDir(), "parity.scb1")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	var paths []string
+	for _, file := range []struct {
+		name   string
+		encode func(io.Writer, *Instance) error
+	}{
+		{"parity.scb1", WriteInstanceBinary},
+		{"parity.scb2", WriteInstanceSCB2},
+		{"parity.txt", WriteInstance},
+	} {
+		path := filepath.Join(dir, file.name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := file.encode(f, inst); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
 	}
-	if err := WriteInstanceBinary(f, inst); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	golden := SetCoverResult{Cover: goldenScalar.sc1Cover, Guess: goldenScalar.sc1Guess,
+		Passes: goldenScalar.sc1Passes, SpaceWords: goldenScalar.sc1Space}
 	for _, w := range parityWorkerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			cfg := core.Config{Alpha: 2, SampleC: 2, Workers: w}
-			fs, err := stream.OpenBinaryFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fs.Close()
-			honest, hacc, err := core.SolveStream(fs, cfg, core.SolveFileRNG(7))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs2, err := stream.OpenBinaryFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pc := stream.NewPlanCache(fs2, 0)
-			defer pc.Close()
-			replayed, racc, err := core.SolveStream(pc, cfg, core.SolveFileRNG(7))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !pc.Ready() {
-				t.Fatal("plan cache never became ready over the file stream")
-			}
-			if !reflect.DeepEqual(honest, replayed) || hacc != racc {
-				t.Errorf("plan-cache file solve diverged from honest:\nhonest  %+v %+v\nreplayed %+v %+v",
-					honest, hacc, replayed, racc)
-			}
-			// The adversarial file solve is the same computation the public
-			// in-memory path pins against the scalar golden; keep the file
-			// leg pinned too so both sides can't drift together.
-			if !reflect.DeepEqual(replayed.Cover, goldenScalar.sc1Cover) ||
-				replayed.Guess != goldenScalar.sc1Guess {
-				t.Errorf("file replay diverged from scalar golden: got cover=%v guess=%d, want %v/%d",
-					replayed.Cover, replayed.Guess, goldenScalar.sc1Cover, goldenScalar.sc1Guess)
+			for _, path := range paths {
+				fs, err := stream.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				best, acc, err := core.SolveStream(fs, core.Config{Alpha: 2, SampleC: 2, Workers: w}, core.SolveFileRNG(7))
+				fs.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				honest := SetCoverResult{Cover: best.Cover, Guess: best.Guess, Passes: acc.Passes, SpaceWords: acc.PeakSpace}
+
+				loaded, err := setsystem.Load(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan, err := BuildReplayPlan(loaded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replayed, err := SolveSetCover(loaded, WithAlpha(2), WithSeed(7), WithSampleConstant(2),
+					WithParallelism(w), WithReplayPlan(plan))
+				loaded.Unmap()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(honest, replayed) {
+					t.Errorf("%s: replayed file solve diverged from honest:\nhonest   %+v\nreplayed %+v",
+						filepath.Base(path), honest, replayed)
+				}
+				if !reflect.DeepEqual(replayed, golden) {
+					t.Errorf("%s: replayed file solve diverged from scalar golden: got %+v, want %+v",
+						filepath.Base(path), replayed, golden)
+				}
 			}
 		})
+	}
+}
+
+// TestBuildReplayPlanAllocsFlatInM pins the presized plan arenas: building
+// a plan costs a fixed number of allocations whatever the set count.
+func TestBuildReplayPlanAllocsFlatInM(t *testing.T) {
+	allocs := func(m int) float64 {
+		inst, _ := GeneratePlanted(1, 4096, m, 4)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := BuildReplayPlan(inst); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(128), allocs(2048); large > small {
+		t.Fatalf("BuildReplayPlan allocs grow with m: %.0f at m=128, %.0f at m=2048", small, large)
 	}
 }

@@ -4,10 +4,12 @@
 # uploads a hardgen instance through `covercli -server`, solves it remotely,
 # and diffs the output byte for byte against a local in-process
 # SolveSetCover run with identical flags — the determinism-over-the-wire
-# contract. A tracing leg then solves under a known W3C traceparent and
-# asserts the trace ID surfaces in the access log, the job snapshot and the
-# debug listener's recent-trace list. Finally it checks the daemon shuts
-# down cleanly on SIGTERM.
+# contract. A replay leg requires covercli -replay (load once, serve every
+# pass from a replay plan) to print the same output on SCB1, SCB2 and text
+# copies of the instance. A tracing leg then solves under a known W3C
+# traceparent and asserts the trace ID surfaces in the access log, the job
+# snapshot and the debug listener's recent-trace list. Finally it checks
+# the daemon shuts down cleanly on SIGTERM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,6 +60,20 @@ for ORDER in adversarial random; do
 	echo "serve-smoke: remote output == local output (-order $ORDER):"
 	sed 's/^/  /' "$WORK/remote.$ORDER.out"
 done
+
+# Replay leg: covercli -replay takes coverd's plan path locally; on every
+# codec its stdout must equal the honest file-streamed run diffed above.
+"$WORK/covercli" -in "$WORK/hard.scb" -convert "$WORK/hard.scb2" -to scb2 > /dev/null
+"$WORK/covercli" -in "$WORK/hard.scb" -convert "$WORK/hard.txt" -to text > /dev/null
+for FILE in hard.scb hard.scb2 hard.txt; do
+	"$WORK/covercli" -in "$WORK/$FILE" -algo alg1 -alpha 3 -order adversarial -seed 7 -replay \
+		> "$WORK/replay.$FILE.out"
+	if ! diff -u "$WORK/local.adversarial.out" "$WORK/replay.$FILE.out"; then
+		echo "serve-smoke: FAIL — covercli -replay on $FILE differs from the honest local run"
+		exit 1
+	fi
+done
+echo "serve-smoke: covercli -replay output == honest local output (scb1, scb2, text)"
 
 # Re-solving the same request must hit the result cache (stats come back
 # as JSON; a crude grep keeps this dependency-free).
