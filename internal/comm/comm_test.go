@@ -34,12 +34,14 @@ func TestTranscript(t *testing.T) {
 
 func TestSimulateStreamingSolver(t *testing.T) {
 	inst, planted := setsystem.PlantedCover(rng.New(1), 1024, 200, 4, 0.6)
-	solver := core.NewSolver(inst.N, inst.M(), core.Config{Alpha: 2, Epsilon: 0.5}, rng.New(2))
+	// At one worker the whole guess grid is one GridRun group: the solver
+	// as a single PassAlgorithm.
+	solver := core.NewSolver(inst.N, inst.M(), core.Config{Alpha: 2, Epsilon: 0.5, Workers: 1}, rng.New(2))
 	owner := make([]bool, inst.M())
 	for i := range owner {
 		owner[i] = i%2 == 0
 	}
-	res, err := SimulateStreaming(solver, inst, owner, core.Passes(2)+1, 32)
+	res, err := SimulateStreaming(solver.Groups()[0], inst, owner, core.Passes(2)+1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +63,8 @@ func TestSimulateStreamingSolver(t *testing.T) {
 
 func TestSimulateStreamingOwnerMismatch(t *testing.T) {
 	inst := setsystem.Uniform(rng.New(3), 32, 8, 4, 10)
-	solver := core.NewSolver(inst.N, inst.M(), core.Config{Alpha: 2}, rng.New(4))
-	if _, err := SimulateStreaming(solver, inst, make([]bool, 3), 10, 32); err == nil {
+	solver := core.NewSolver(inst.N, inst.M(), core.Config{Alpha: 2, Workers: 1}, rng.New(4))
+	if _, err := SimulateStreaming(solver.Groups()[0], inst, make([]bool, 3), 10, 32); err == nil {
 		t.Fatal("owner mismatch accepted")
 	}
 }

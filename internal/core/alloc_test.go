@@ -49,7 +49,7 @@ func TestObserveSubtractAllocFree(t *testing.T) {
 }
 
 // TestObserveAllocFreeWithSharedRuns covers the producer-amortized path:
-// when the driver prefilled item.Runs (parallel.runPass, stream.Parallel),
+// when the driver prefilled item.Runs (more than one running child),
 // Observe must not even build runs — every phase is allocation-free from
 // the first item.
 func TestObserveAllocFreeWithSharedRuns(t *testing.T) {

@@ -100,15 +100,16 @@ type Config struct {
 	// the optimum approximately can pass a short list — Algorithm 1 proper
 	// (Theorem 2's statement) assumes õpt is given.
 	OptGuesses []int
-	// Workers is the multi-core parallelism of the guess grid: Solve fans
-	// the per-guess runs out to this many workers via internal/parallel.
-	// 0 selects GOMAXPROCS; 1 forces the sequential driver. The result is
+	// Workers is the multi-core parallelism of the guess grid: Solve splits
+	// the guesses into this many groups and fans them out to as many
+	// workers via internal/parallel. 0 selects GOMAXPROCS; 1 runs the whole
+	// grid as one group inline on the caller's goroutine. The result is
 	// bit-identical at every value (each guess owns an RNG split from the
 	// root seed and observes the full stream in arrival order).
 	Workers int
-	// Context, when non-nil, cancels the solve cooperatively: both drivers
-	// poll it at pass boundaries (and within passes — see stream.RunContext
-	// and parallel.Config.Context) and abort with ctx.Err(). nil means no
+	// Context, when non-nil, cancels the solve cooperatively: the pass
+	// driver polls it at pass boundaries, within passes and after EndPass
+	// (see stream.Drive) and aborts with ctx.Err(). nil means no
 	// cancellation. Cancellation does not perturb determinism: a run either
 	// completes with the usual bit-identical result or returns ctx.Err().
 	Context context.Context
@@ -121,10 +122,10 @@ type Config struct {
 	// Accounting, and the experiments harness leaves it nil.
 	Plan *stream.Plan
 	// Trace, when non-nil, receives one stream.PassSample per completed
-	// pass from whichever driver runs the solve. Sampling happens only at
-	// pass boundaries (O(passes) work and storage); nil disables tracing
-	// entirely, including the wall-clock reads. Tracing never perturbs
-	// results: the solve's RNG discipline and pass schedule are untouched.
+	// pass from the pass driver. Sampling happens only at pass boundaries
+	// (O(passes) work and storage); nil disables tracing entirely,
+	// including the wall-clock reads. Tracing never perturbs results: the
+	// solve's RNG discipline and pass schedule are untouched.
 	Trace stream.TraceSink
 }
 
@@ -168,11 +169,11 @@ type Result struct {
 // the shared pass state machine; a standalone Run (NewRun) is the lane of
 // a 1-lane group, whose grid layout is byte-identical to a dense bitset.
 //
-// Run implements stream.PassAlgorithm by delegating to its group, so
-// existing single-guess call sites (stream.Run(st, run, ...)) are
-// unchanged. Do not drive a lane of a multi-lane group directly — drive
-// the GridRun; the per-lane accessors (Result, UncoveredHistory,
-// PrunePicked) are always safe.
+// Run implements stream.PassAlgorithm by delegating to its group, so a
+// single guess can be driven on its own (stream.Run(st, run, ...)). Do not
+// drive a lane of a multi-lane group directly — drive the GridRun; the
+// per-lane accessors (Result, UncoveredHistory, PrunePicked) are always
+// safe.
 //
 // Pass layout: pass 0 prunes; then iteration j ∈ [0,α) uses pass 2j+1 to
 // store sampled projections and pass 2j+2 to subtract the sub-cover. A
@@ -744,12 +745,10 @@ func Guesses(n int, eps float64) []int {
 // interleaved grid kernel; the partition is invisible in results and
 // accounting (see GridRun).
 type Solver struct {
-	*stream.Parallel
-	groups  []*GridRun
-	runs    []*Run
-	workers int
-	ctx     context.Context
-	trace   stream.TraceSink
+	groups   []*GridRun
+	children []stream.PassAlgorithm // the groups, as the driver's children
+	runs     []*Run
+	drive    parallel.Config // Workers, Context and Trace of the solve
 }
 
 // NewSolver builds the parallel guess runner for a stream with universe n
@@ -772,38 +771,31 @@ func NewSolver(n, m int, cfg Config, r *rng.RNG) *Solver {
 		ng = 1
 	}
 	groups := make([]*GridRun, ng)
-	algs := make([]stream.PassAlgorithm, ng)
+	children := make([]stream.PassAlgorithm, ng)
 	runs := make([]*Run, 0, len(guesses))
 	for gi := range groups {
 		lo, hi := gi*len(guesses)/ng, (gi+1)*len(guesses)/ng
 		groups[gi] = NewGridRun(n, m, guesses[lo:hi], c, rngs[lo:hi])
-		algs[gi] = groups[gi]
+		children[gi] = groups[gi]
 		for l := 0; l < groups[gi].Lanes(); l++ {
 			runs = append(runs, groups[gi].Lane(l))
 		}
 	}
-	return &Solver{Parallel: stream.NewParallel(algs...), groups: groups, runs: runs,
-		workers: c.Workers, ctx: c.Context, trace: c.Trace}
+	return &Solver{groups: groups, children: children, runs: runs,
+		drive: parallel.Config{Workers: c.Workers, Context: c.Context, Trace: c.Trace}}
 }
 
-// Run drives the solver over st for up to maxPasses passes at the
-// guess-grid parallelism of the Config it was built with: Workers == 1 uses
-// the sequential lockstep driver (stream.Run over the Parallel composition);
-// any other value fans the per-worker guess groups out to that many
-// goroutines (0 = GOMAXPROCS) via parallel.Run. Results and accounting are
-// bit-identical at every worker count — each guess owns an RNG split from
-// the root seed and observes the full stream in arrival order (see
-// internal/parallel's determinism contract and GridRun's grouping
-// invariance).
+// Run drives the guess groups over st for up to maxPasses passes through
+// parallel.Run at the Workers of the Config the solver was built with: one
+// group per worker, observed inline on the caller's goroutine at one
+// worker. Results and accounting are bit-identical at every worker count —
+// each guess owns an RNG split from the root seed and observes the full
+// stream in arrival order (see stream.Drive's determinism contract and
+// GridRun's grouping invariance).
 func (s *Solver) Run(st stream.Stream, maxPasses int) (stream.Accounting, error) {
-	if s.workers == 1 {
-		ctx := s.ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		return stream.RunTraced(ctx, st, s, maxPasses, s.trace)
-	}
-	return parallel.Run(st, s.Children(), parallel.Config{Workers: s.workers, MaxPasses: maxPasses, Context: s.ctx, Trace: s.trace})
+	cfg := s.drive
+	cfg.MaxPasses = maxPasses
+	return parallel.Run(st, s.children, cfg)
 }
 
 // Best returns the smallest feasible cover across guesses. ok is false when

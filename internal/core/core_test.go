@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -357,6 +359,53 @@ func TestSolveKernelParity(t *testing.T) {
 				t.Fatalf("kernel=%s workers=%d: accounting %+v differs from %s's %+v",
 					kernel, workers, acc, kernels[0], refAcc)
 			}
+		}
+	}
+}
+
+// cancelAtPassEnd cancels its context when pass `at` (0-based) of the
+// wrapped stream runs out of items: after the last in-pass cancel poll,
+// before EndPass runs the pass's sub-solves.
+type cancelAtPassEnd struct {
+	stream.Stream
+	cancel   context.CancelFunc
+	at, pass int
+}
+
+func (s *cancelAtPassEnd) Reset() {
+	s.pass++
+	s.Stream.Reset()
+}
+
+func (s *cancelAtPassEnd) Next() (stream.Item, bool) {
+	it, ok := s.Stream.Next()
+	if !ok && s.pass == s.at {
+		s.cancel()
+	}
+	return it, ok
+}
+
+// TestSolveStreamCancelAtPassEnd: a cancel that lands between a pass's last
+// item and its EndPass makes every live guess's exact sub-solve fail on
+// entry. The solve must report the cancel, not the cover of a guess that
+// finished earlier.
+func TestSolveStreamCancelAtPassEnd(t *testing.T) {
+	inst, _ := setsystem.PlantedCover(rng.New(1), 2048, 256, 4, 0.6)
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Alpha: 2, Workers: workers}
+		res, acc, err := SolveStream(stream.FromInstance(inst, stream.Adversarial, nil), cfg, SolveFileRNG(1))
+		if err != nil || res.Guess != 4 || acc.Passes != 3 {
+			t.Fatalf("workers=%d: clean solve gave guess %d after %d passes (%v), want guess 4 after 3",
+				workers, res.Guess, acc.Passes, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg.Context = ctx
+		st := &cancelAtPassEnd{Stream: stream.FromInstance(inst, stream.Adversarial, nil), cancel: cancel, at: 1, pass: -1}
+		res, acc, err = SolveStream(st, cfg, SolveFileRNG(1))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: cancel at the end of pass 1 returned guess %d after %d passes, err %v; want context.Canceled",
+				workers, res.Guess, acc.Passes, err)
 		}
 	}
 }

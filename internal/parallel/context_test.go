@@ -33,11 +33,11 @@ func TestRunPreCanceledContext(t *testing.T) {
 // skipped (children's pass counters stay put).
 func TestRunCancelMidPass(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel as soon as the first chunk is broadcast: a 1-item chunk size
-	// makes the producer poll ctx after every item.
+	// Cancel after item 100 of 512: the driver polls ctx once per 64-item
+	// chunk, so the pass stops at the next chunk boundary.
 	s := &cancelingStream{sliceStream: *newSliceStream(16, 512), cancel: cancel, after: 100}
 	_, algs := makeRecorders([]int{4, 4})
-	acc, err := Run(s, algs, Config{Workers: 2, MaxPasses: 8, ChunkSize: 1, Context: ctx})
+	acc, err := Run(s, algs, Config{Workers: 2, MaxPasses: 8, Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

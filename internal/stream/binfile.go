@@ -20,7 +20,7 @@ import (
 // length table plus one set.
 //
 // Items are views into the reusable buffer, so StableItems reports false:
-// concurrent drivers copy them before fanning out.
+// the driver's pool copies them before fanning out.
 type BinaryFileStream struct {
 	path string
 	n, m int
@@ -115,9 +115,9 @@ func (fs *BinaryFileStream) Next() (Item, bool) {
 // each pass).
 func (fs *BinaryFileStream) Err() error { return fs.err }
 
-// StableItems reports that returned Item.Elems alias the stream's reusable
-// decode buffer and are invalidated by the next Next call: concurrent
-// drivers must copy items before broadcasting them.
+// StableItems implements Stable: returned Item.Elems alias the stream's
+// reusable decode buffer and are invalidated by the next Next call, so the
+// driver's pool copies items before broadcasting them.
 func (fs *BinaryFileStream) StableItems() bool { return false }
 
 // Close releases the underlying file.

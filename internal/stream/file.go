@@ -152,8 +152,8 @@ func (fs *FileStream) Next() (Item, bool) {
 // false may mean end-of-pass or error; check Err after the run).
 func (fs *FileStream) Err() error { return fs.err }
 
-// StableItems reports that every Item.Elems is freshly allocated per line and
-// never reused: concurrent drivers may broadcast items without copying.
+// StableItems implements Stable: every Item.Elems is freshly allocated per
+// line and never reused.
 func (fs *FileStream) StableItems() bool { return true }
 
 // Close releases the underlying file.

@@ -9,8 +9,8 @@ import (
 // header read plus one validation scan, no decode pass, O(1) allocations
 // in the instance size — and each pass walks the mapped CSR arena exactly
 // like an in-memory InstanceStream, because it is one. Items are views
-// into the mapping, stable for the life of the stream, so concurrent
-// drivers broadcast them without copying (StableItems is inherited from
+// into the mapping, stable for the life of the stream, so the driver's
+// pool broadcasts them without copying (StableItems is inherited from
 // InstanceStream and reports true).
 //
 // On hosts without zero-copy mapping support setsystem.Map falls back to a

@@ -137,20 +137,12 @@ func (b *planBuilder) finalize() *Plan {
 	return p
 }
 
-// sourceStable mirrors parallel.Stable without importing the package (that
-// would cycle): true when the stream's items alias storage that outlives the
-// pass, so the plan may alias them instead of copying.
-func sourceStable(s Stream) bool {
-	st, ok := s.(interface{ StableItems() bool })
-	return ok && st.StableItems()
-}
-
 // BuildPlan records one full pass of s (Reset + drain) and returns the
 // plan. budget <= 0 means unlimited; a blown budget returns ErrPlanBudget.
 // A stream failure or short pass surfaces as an error — a plan is only ever
 // a complete, validated recording.
 func BuildPlan(s Stream, budget int64) (*Plan, error) {
-	b := newPlanBuilder(s.Universe(), s.Len(), sourceStable(s), budget)
+	b := newPlanBuilder(s.Universe(), s.Len(), stableItems(s), budget)
 	s.Reset()
 	for {
 		it, ok := s.Next()
@@ -209,8 +201,8 @@ func (rs *ReplayStream) Next() (Item, bool) {
 	return it, true
 }
 
-// StableItems reports that plan-backed views are immutable for the life of
-// the plan, so concurrent drivers broadcast them without copying.
+// StableItems implements Stable: plan-backed views are immutable for the
+// life of the plan.
 func (rs *ReplayStream) StableItems() bool { return true }
 
 // Err implements Failer, forwarding the source's error.

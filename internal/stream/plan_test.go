@@ -166,7 +166,7 @@ func TestBuildPlanOverBinaryFileStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if sourceStable(fs) {
+	if stableItems(fs) {
 		t.Fatal("test premise broken: BinaryFileStream should be unstable")
 	}
 	plan, err := BuildPlan(fs, 0)

@@ -10,9 +10,11 @@
 //     zero-copy []int32 views (into the instance's CSR arena, or a file
 //     stream's decode buffer);
 //   - PassAlgorithm: the state-machine shape of a multi-pass algorithm;
-//   - Driver: runs a PassAlgorithm over a Stream while accounting for the
-//     number of passes and the peak working space in words; drivers check
-//     Failer after every pass so file-backed streams fail loudly;
+//   - Drive: the one pass driver, behind Run/RunContext/RunTraced (one
+//     algorithm) and parallel.Run (many children at a worker count). It
+//     runs inline on the caller's goroutine at one worker, accounts passes
+//     and the exact peak working space in words, and checks Failer after
+//     every pass so file-backed streams fail loudly;
 //   - file-backed streams for both on-disk codecs (FileStream for text,
 //     BinaryFileStream for binary; Open auto-detects), re-reading the file
 //     every pass so larger-than-memory instances stream honestly;
@@ -20,16 +22,15 @@
 //     (the paper's random arrival model), or a fresh shuffle every pass.
 //
 // Space is measured in words: one stored set ID or element ID counts as one
-// word. Algorithms report their current footprint via Space(); the Driver
-// polls it after every item and records the peak. This matches the paper's
+// word. Algorithms report their current footprint via Space(); the driver
+// sums it over the children after every item and records the peak, at any
+// worker count and for any child, monotone or not. This matches the paper's
 // accounting, which states bounds in (poly-log factors times) the number of
 // stored IDs rather than bits.
 package stream
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"streamcover/internal/bitset"
 	"streamcover/internal/rng"
@@ -44,12 +45,11 @@ type Item struct {
 	ID    int
 	Elems []int32
 	// Runs is the word-mask run view of Elems — (word, mask) pairs covering
-	// the same elements — consumed by the bitset run kernels. Drivers that
-	// fan one item out to many consumers prefill it once per item per pass
-	// (parallel.runPass on the producer side, Parallel.Observe in the
-	// sequential driver) so every consumer shares one read-only run list;
-	// nil means the consumer builds its own via RunsInto. Like Elems, Runs
-	// must not be retained past Observe or mutated.
+	// the same elements — consumed by the bitset run kernels. When more
+	// than one child is running, the driver prefills it once per item per
+	// pass so every consumer shares one read-only run list; nil means the
+	// consumer builds its own via RunsInto. Like Elems, Runs must not be
+	// retained past Observe or mutated.
 	Runs []bitset.Run
 }
 
@@ -160,13 +160,26 @@ func (s *InstanceStream) Next() (Item, bool) {
 	return Item{ID: id, Elems: s.inst.Set(id)}, true
 }
 
-// StableItems reports that returned Item.Elems alias the instance's set
-// storage, which is never mutated: items stay valid across the whole run, so
-// concurrent drivers may broadcast them without copying.
+// StableItems implements Stable: returned Item.Elems alias the instance's
+// set storage, which is never mutated.
 func (s *InstanceStream) StableItems() bool { return true }
 
+// Stable is implemented by streams whose Item views stay valid and
+// unchanged after later Next and Reset calls. The driver's worker pool
+// broadcasts such items without copying, and BuildPlan aliases them
+// instead of copying. Drive asks once per run, so the answer must hold for
+// every pass.
+type Stable interface {
+	StableItems() bool
+}
+
+func stableItems(s Stream) bool {
+	st, ok := s.(Stable)
+	return ok && st.StableItems()
+}
+
 // PassAlgorithm is the state-machine shape of a multi-pass streaming
-// algorithm. The Driver calls BeginPass, then Observe for every item of the
+// algorithm. The driver calls BeginPass, then Observe for every item of the
 // pass, then EndPass; it stops when EndPass reports done (or the pass limit
 // is hit). Space must return the algorithm's current footprint in words.
 type PassAlgorithm interface {
@@ -183,8 +196,8 @@ type Accounting struct {
 	Items     int // total items observed across all passes
 }
 
-// ErrPassLimit is returned by Run when the algorithm did not finish within
-// the pass limit.
+// ErrPassLimit is returned when a run did not finish within the pass
+// limit.
 type ErrPassLimit struct{ Limit int }
 
 func (e ErrPassLimit) Error() string {
@@ -201,191 +214,12 @@ type Failer interface {
 	Err() error
 }
 
-// PassErr returns the stream's error if it is a Failer, else nil. Drivers
-// (Run here, parallel.Run) call it after every pass so a mid-pass stream
-// failure aborts the run instead of masquerading as a clean short pass.
+// PassErr returns the stream's error if it is a Failer, else nil. Drive
+// calls it after every pass so a mid-pass stream failure aborts the run
+// instead of masquerading as a clean short pass.
 func PassErr(s Stream) error {
 	if f, ok := s.(Failer); ok {
 		return f.Err()
 	}
 	return nil
 }
-
-// Run drives alg over s until it reports done, recording passes and peak
-// space. maxPasses bounds the run (use a generous limit; it exists to turn
-// non-terminating bugs into errors). A stream failure (Failer reporting a
-// non-nil Err after a pass) aborts the run with that error.
-func Run(s Stream, alg PassAlgorithm, maxPasses int) (Accounting, error) {
-	return RunContext(context.Background(), s, alg, maxPasses)
-}
-
-// CancelCheckInterval is how many items a driver observes between
-// cancellation polls: often enough that a cancelled solve aborts within a
-// fraction of a pass, rarely enough that the poll never shows up in the
-// per-item profile.
-const CancelCheckInterval = 1024
-
-// RunContext is Run with cooperative cancellation: the driver polls
-// ctx.Done() before every pass and every CancelCheckInterval items within a
-// pass, and aborts the run with ctx.Err() (accounting the partial pass,
-// skipping EndPass — the same abort shape as a mid-pass stream failure).
-// A context that can never be cancelled costs nothing: ctx.Done() == nil
-// disables the per-item polls entirely.
-func RunContext(ctx context.Context, s Stream, alg PassAlgorithm, maxPasses int) (Accounting, error) {
-	return RunTraced(ctx, s, alg, maxPasses, nil)
-}
-
-// RunTraced is RunContext with per-pass observability: after every clean
-// pass it emits one PassSample to sink. A nil sink is exactly RunContext —
-// the wall-clock reads and the optional-interface queries are gated on the
-// sink, so untraced runs pay nothing. Tracing never touches the per-item
-// loop: samples are assembled only at pass boundaries, keeping the trace
-// O(passes) and the hot path allocation-free.
-func RunTraced(ctx context.Context, s Stream, alg PassAlgorithm, maxPasses int, sink TraceSink) (Accounting, error) {
-	var acc Accounting
-	cancel := ctx.Done()
-	var passStart time.Time
-	for pass := 0; pass < maxPasses; pass++ {
-		if cancel != nil {
-			select {
-			case <-cancel:
-				return acc, ctx.Err()
-			default:
-			}
-		}
-		itemsBefore := acc.Items
-		replayed := false
-		if sink != nil {
-			passStart = time.Now()
-		}
-		s.Reset()
-		if sink != nil {
-			replayed = replayedPass(s)
-		}
-		alg.BeginPass(pass)
-		if sp := alg.Space(); sp > acc.PeakSpace {
-			acc.PeakSpace = sp
-		}
-		sincePoll := 0
-		for {
-			item, ok := s.Next()
-			if !ok {
-				break
-			}
-			alg.Observe(item)
-			acc.Items++
-			if sp := alg.Space(); sp > acc.PeakSpace {
-				acc.PeakSpace = sp
-			}
-			if cancel != nil {
-				if sincePoll++; sincePoll >= CancelCheckInterval {
-					sincePoll = 0
-					select {
-					case <-cancel:
-						acc.Passes = pass + 1
-						return acc, ctx.Err()
-					default:
-					}
-				}
-			}
-		}
-		if err := PassErr(s); err != nil {
-			acc.Passes = pass + 1
-			return acc, err
-		}
-		done := alg.EndPass()
-		if sp := alg.Space(); sp > acc.PeakSpace {
-			acc.PeakSpace = sp
-		}
-		acc.Passes = pass + 1
-		if sink != nil {
-			sink.TracePass(PassSample{
-				Pass:       pass,
-				Duration:   time.Since(passStart),
-				Items:      acc.Items - itemsBefore,
-				SpaceWords: alg.Space(),
-				PeakSpace:  acc.PeakSpace,
-				Live:       liveLanes(alg),
-				Replayed:   replayed,
-			})
-		}
-		if done {
-			return acc, nil
-		}
-	}
-	return acc, ErrPassLimit{Limit: maxPasses}
-}
-
-// Parallel composes several PassAlgorithms that run over the same passes in
-// lockstep, the streaming analogue of running them "in parallel" on one
-// stream. It is done when every child is done; its space is the sum of the
-// children's (finished children keep paying for whatever state they retain,
-// e.g. their solution). Children that finish early stop receiving items.
-type Parallel struct {
-	children []PassAlgorithm
-	done     []bool
-	active   int // children still running this pass, set by BeginPass
-	// runScratch backs the per-item run list built once in Observe and
-	// shared by every child — the sequential driver's side of the
-	// one-pass-many-consumers amortization (parallel.runPass is the
-	// concurrent side). Reused across items, so steady-state Observe is
-	// allocation-free.
-	runScratch []bitset.Run
-}
-
-// NewParallel returns the parallel composition of the given algorithms.
-func NewParallel(children ...PassAlgorithm) *Parallel {
-	return &Parallel{children: children, done: make([]bool, len(children))}
-}
-
-// BeginPass implements PassAlgorithm.
-func (p *Parallel) BeginPass(pass int) {
-	p.active = 0
-	for i, c := range p.children {
-		if !p.done[i] {
-			p.active++
-			c.BeginPass(pass)
-		}
-	}
-}
-
-// Observe implements PassAlgorithm. The item's run list is built once here
-// (when no upstream producer already attached one) so all children share
-// it. With at most one child still running the build cannot amortize —
-// building costs about one scalar probe loop — so the lone child is left
-// to its scalar fallback.
-func (p *Parallel) Observe(item Item) {
-	if item.Runs == nil && p.active > 1 {
-		p.runScratch = bitset.AppendRuns(p.runScratch[:0], item.Elems)
-		item.Runs = p.runScratch
-	}
-	for i, c := range p.children {
-		if !p.done[i] {
-			c.Observe(item)
-		}
-	}
-}
-
-// EndPass implements PassAlgorithm.
-func (p *Parallel) EndPass() bool {
-	all := true
-	for i, c := range p.children {
-		if !p.done[i] {
-			p.done[i] = c.EndPass()
-		}
-		all = all && p.done[i]
-	}
-	return all
-}
-
-// Space implements PassAlgorithm.
-func (p *Parallel) Space() int {
-	sum := 0
-	for _, c := range p.children {
-		sum += c.Space()
-	}
-	return sum
-}
-
-// Children returns the composed algorithms, in order.
-func (p *Parallel) Children() []PassAlgorithm { return p.children }

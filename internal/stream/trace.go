@@ -6,22 +6,23 @@ import (
 )
 
 // PassSample is one pass of a traced run: the paper's cost model (passes ×
-// space) made observable. Drivers emit one sample per completed pass —
+// space) made observable. The driver emits one sample per clean pass —
 // trace volume is O(passes), never O(items) — with timing taken only at
 // pass boundaries so tracing cannot perturb the per-item hot path.
 type PassSample struct {
 	Pass       int           // 0-based pass index
 	Duration   time.Duration // wall time of the pass (Reset through EndPass)
 	Items      int           // items observed during this pass
-	SpaceWords int           // algorithm footprint at end of pass, in words
+	SpaceWords int           // summed footprint at end of pass, in words
 	PeakSpace  int           // peak footprint of the run so far, in words
 	Live       int           // live guess lanes after the pass; -1 if unknown
 	Replayed   bool          // pass served from a recorded replay plan
 }
 
-// TraceSink receives pass samples from a traced driver. Implementations are
-// called from the driver goroutine, once per pass, between EndPass and the
-// next BeginPass; they must not retain the sample's address (it is reused).
+// TraceSink receives pass samples from a traced run. Implementations are
+// called on the goroutine running Drive, once per pass, between EndPass and
+// the next BeginPass; they must not retain the sample's address (it is
+// reused).
 type TraceSink interface {
 	TracePass(PassSample)
 }
@@ -64,27 +65,18 @@ func (t *Trace) Reset() {
 }
 
 // LaneCounter is implemented by algorithms that can report how many guess
-// lanes are still live (core.GridRun; compositions sum their children).
-// Traced drivers query it at pass boundaries to fill PassSample.Live.
+// lanes are still live (core.GridRun). The driver queries it at pass
+// boundaries to fill PassSample.Live.
 type LaneCounter interface {
 	LiveLanes() int
 }
 
 // PassReplayer is implemented by streams that can serve a pass from a
 // recorded plan instead of the underlying source (the pass-replay plane).
-// Traced drivers query it after Reset so the sample records whether the
-// pass just begun is honest or replayed.
+// The driver queries it after Reset so the sample records whether the pass
+// just begun is honest or replayed.
 type PassReplayer interface {
 	ReplayedPass() bool
-}
-
-// liveLanes returns the algorithm's live lane count, or -1 when it does not
-// expose one.
-func liveLanes(alg PassAlgorithm) int {
-	if lc, ok := alg.(LaneCounter); ok {
-		return lc.LiveLanes()
-	}
-	return -1
 }
 
 // replayedPass reports whether the stream is serving the current pass from
@@ -96,11 +88,11 @@ func replayedPass(s Stream) bool {
 	return false
 }
 
-// LiveLanes implements LaneCounter for the parallel composition: the sum
-// over children that expose a lane count, or -1 when none do.
-func (p *Parallel) LiveLanes() int {
+// liveLanes sums the live lane counts of the children that expose one, or
+// returns -1 when none do.
+func liveLanes(children []PassAlgorithm) int {
 	sum, known := 0, false
-	for _, c := range p.children {
+	for _, c := range children {
 		if lc, ok := c.(LaneCounter); ok {
 			sum += lc.LiveLanes()
 			known = true

@@ -151,19 +151,3 @@ func TestTraceResetReuse(t *testing.T) {
 	}
 	run() // and the full driver still works after the churn
 }
-
-// TestParallelLiveLanes pins the composition rule: Parallel sums the lanes
-// of children that report them and stays unknown when none do.
-func TestParallelLiveLanes(t *testing.T) {
-	p := &Parallel{children: []PassAlgorithm{
-		&traceAlg{live: 3}, &traceAlg{live: 4},
-	}}
-	if got := p.LiveLanes(); got != 7 {
-		t.Fatalf("LiveLanes = %d, want 7", got)
-	}
-	type bare struct{ PassAlgorithm }
-	p = &Parallel{children: []PassAlgorithm{bare{&traceAlg{}}}}
-	if got := p.LiveLanes(); got != -1 {
-		t.Fatalf("LiveLanes with no counting children = %d, want -1", got)
-	}
-}

@@ -24,8 +24,8 @@
 // independent, so the solver fans them out to a worker pool (one stream
 // read per pass, items broadcast read-only to the per-guess runs, offline
 // sub-solves concurrent across guesses). WithParallelism(p) selects the
-// worker count — the default is GOMAXPROCS, and p = 1 forces the sequential
-// reference driver.
+// worker count — the default is GOMAXPROCS, and p = 1 runs the whole grid
+// inline on the caller's goroutine.
 //
 // Determinism contract: for a fixed seed, results are bit-identical at
 // every parallelism level — the same cover, winning guess, pass count and
@@ -156,7 +156,7 @@ func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx =
 // WithParallelism sets the worker-pool size used to fan the per-guess runs
 // out across cores (and, in SolveMaxCoverage's greedy sub-solve, the
 // per-round candidate gain scan): p <= 0 selects GOMAXPROCS (the default),
-// p == 1 forces the sequential reference driver.
+// p == 1 runs the guess grid inline on the caller's goroutine.
 // For a fixed seed the result — cover, guess, passes, space accounting — is
 // bit-identical at every p; parallelism changes only wall-clock time. See
 // the package documentation for the determinism contract.
