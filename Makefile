@@ -105,12 +105,14 @@ bench-compare: bench-json
 	$(GO) run ./cmd/benchcmp $(REPLAY_BENCH_BASELINE) $(REPLAY_BENCH_JSON) | tee bench-delta-replay.txt
 
 ## serve-smoke: end-to-end coverd check — start the daemon on a random
-## port, upload a hardgen instance, solve remotely, diff against the
-## in-process SolveSetCover output and against covercli -replay on SCB1,
-## SCB2 and text copies of the instance, verify cache/dedup stats, check the
-## /metrics exposition parses and its counters move across a solve, pin
+## port, upload a hardgen instance, solve it remotely with every solver ×
+## arrival order covercli reaches and diff each against the local run,
+## diff covercli -replay on SCB1, SCB2 and text copies against the honest
+## file-streamed run, verify cache/dedup stats, check the /metrics
+## exposition parses and its counters move across a solve, pin
 ## traceparent propagation end to end (job snapshot, access log, flight
-## recorder, debug endpoints), and confirm a clean SIGTERM shutdown
+## recorder, debug endpoints), require -alpha 0 to match and out-of-range
+## -alpha/-eps to exit 2 on both paths, and confirm a clean SIGTERM shutdown
 serve-smoke:
 	bash scripts/serve_smoke.sh
 

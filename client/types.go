@@ -17,14 +17,6 @@ package client
 
 import "time"
 
-// Algos lists the solver names accepted by SolveRequest.Algo ("alg1" is
-// accepted as an alias for "setcover").
-var Algos = []string{"setcover", "maxcover", "greedy", "exact", "progressive", "storeall"}
-
-// Orders lists the arrival orders accepted by SolveRequest.Order ("random"
-// is accepted as an alias for "random-once").
-var Orders = []string{"adversarial", "random-once", "random-each-pass"}
-
 // SolveRequest is the body of POST /v1/solve: an instance named by content
 // hash plus the full option surface of the public Solve* API. Zero-valued
 // fields take the same defaults as the corresponding With* options —
@@ -35,23 +27,28 @@ type SolveRequest struct {
 	// Instance is the content hash returned by POST /v1/instances.
 	Instance string `json:"instance"`
 	// Algo selects the solver: setcover (Algorithm 1 with the õpt-guess
-	// grid; the default), maxcover (sampled streaming max k-coverage),
-	// greedy/exact (offline references), progressive/storeall (streaming
-	// baselines).
+	// grid; the default, also accepted as alg1), maxcover (sampled
+	// streaming max k-coverage), greedy/exact (offline references),
+	// progressive/storeall (streaming baselines). The server normalizes an
+	// alias to the canonical name, and job snapshots report that name.
 	Algo string `json:"algo,omitempty"`
-	// Alpha, Epsilon, Seed, Order, GreedySubsolver, SampleConstant and
-	// OptimumHint mirror WithAlpha, WithEpsilon, WithSeed, WithOrder,
-	// WithGreedySubsolver, WithSampleConstant and WithOptimumHint.
-	Alpha           int     `json:"alpha,omitempty"`
-	Epsilon         float64 `json:"epsilon,omitempty"`
-	Seed            uint64  `json:"seed,omitempty"`
+	// Alpha, Epsilon, Seed, GreedySubsolver, SampleConstant and OptimumHint
+	// mirror WithAlpha, WithEpsilon, WithSeed, WithGreedySubsolver,
+	// WithSampleConstant and WithOptimumHint. Alpha must be >= 1 and
+	// Epsilon in (0,1]; SampleConstant and OptimumHint must be >= 0.
+	Alpha   int     `json:"alpha,omitempty"`
+	Epsilon float64 `json:"epsilon,omitempty"`
+	Seed    uint64  `json:"seed,omitempty"`
+	// Order mirrors WithOrder: adversarial (the default), random-once
+	// (also accepted as random) or random-each-pass.
 	Order           string  `json:"order,omitempty"`
 	GreedySubsolver bool    `json:"greedy_subsolver,omitempty"`
 	SampleConstant  float64 `json:"sample_constant,omitempty"`
 	OptimumHint     int     `json:"opt_hint,omitempty"`
 	// K is the coverage budget (maxcover only; required there).
 	K int `json:"k,omitempty"`
-	// Lambda is the threshold decay (progressive only; default 2).
+	// Lambda is the threshold decay (progressive only; default 2). It must
+	// be 0 for the default, or greater than 1.
 	Lambda float64 `json:"lambda,omitempty"`
 	// Workers caps this job's guess-grid parallelism below the server's
 	// per-job budget. It cannot change the result (the library's

@@ -6,20 +6,28 @@
 //
 //	covercli -in instance.sc -algo alg1 -alpha 3
 //	covercli -gen planted -n 8192 -m 1024 -opt 6 -algo progressive
-//	covercli -gen zipf -n 4096 -m 512 -algo greedy
+//	covercli -gen zipf -n 4096 -m 512 -algo greedy -order random-each-pass
 //	covercli -server http://localhost:8650 -gen planted -alpha 3
 //	covercli -in instance.sc -convert instance.scb2            # codec convert
 //	covercli -gen zipf -n 4096 -m 512 -convert z.scb -to scb1
 //
-// Algorithms: alg1 (the paper's Algorithm 1), progressive (threshold-decay
-// multi-pass greedy), storeall (buffer stream + offline greedy), greedy
-// (offline), exact (offline branch-and-bound).
+// -algo and -order take the solver catalog's vocabulary, the names coverd
+// accepts: setcover (the paper's Algorithm 1, also alg1; the default),
+// progressive (threshold-decay multi-pass greedy), storeall (buffer stream
+// + offline greedy), greedy (offline), exact (offline branch-and-bound);
+// adversarial (the default), random-once (also random), random-each-pass.
+// maxcover needs a coverage budget k, which covercli has no flag for.
 //
-// With -server the solve runs remotely on a coverd daemon: the instance is
-// uploaded (deduplicated by content hash) and solved by the service, and
-// the result is verified locally. The output is identical to a local run
-// with the same flags — that is coverd's determinism-over-the-wire
-// contract, and `make serve-smoke` diffs the two outputs to enforce it.
+// The flags become one solve request, normalized by the catalog before
+// anything is loaded (a bad value exits 2; -alpha 0 and -eps 0 select the
+// catalog's defaults). It is solved locally through the catalog or, with
+// -server, by a coverd daemon through the same catalog: the instance is
+// uploaded (deduplicated by content hash) and the result verified locally.
+// One printer renders both, so the output is identical — coverd's
+// determinism-over-the-wire contract, which `make serve-smoke` diffs. The
+// one solve outside the catalog is setcover in adversarial order over an
+// -in file, which re-reads the file every pass (the paper's disk-resident
+// model) unless -replay loads it once.
 package main
 
 import (
@@ -36,12 +44,11 @@ import (
 
 	"streamcover"
 	"streamcover/client"
-	"streamcover/internal/baselines"
 	"streamcover/internal/bitset"
 	"streamcover/internal/buildinfo"
+	"streamcover/internal/catalog"
 	"streamcover/internal/core"
 	obstrace "streamcover/internal/obs/trace"
-	"streamcover/internal/rng"
 	"streamcover/internal/setsystem"
 	"streamcover/internal/stream"
 )
@@ -53,10 +60,10 @@ func main() {
 		n       = flag.Int("n", 4096, "universe size (generators)")
 		m       = flag.Int("m", 512, "number of sets (generators)")
 		opt     = flag.Int("opt", 4, "planted optimum size (gen=planted)")
-		algo    = flag.String("algo", "alg1", "alg1, progressive, storeall, greedy, exact")
-		alpha   = flag.Int("alpha", 2, "approximation parameter α (alg1)")
-		eps     = flag.Float64("eps", 0.5, "ε (alg1)")
-		order   = flag.String("order", "adversarial", "arrival order: adversarial, random")
+		algo    = flag.String("algo", "", "solver: "+catalog.AlgoChoices+"; empty selects the first")
+		alpha   = flag.Int("alpha", 0, "approximation parameter α (setcover); 0 selects the catalog default")
+		eps     = flag.Float64("eps", 0, "ε (setcover); 0 selects the catalog default")
+		order   = flag.String("order", "", "arrival order: "+catalog.OrderChoices+"; empty selects the first")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "guess-grid worker goroutines (0 = GOMAXPROCS, 1 = sequential); results are identical at every value")
 		server  = flag.String("server", "", "coverd base URL; non-empty runs the solve remotely")
@@ -71,7 +78,10 @@ func main() {
 		buildinfo.Print(os.Stdout, "covercli")
 		return
 	}
-	if err := validateFlags(*algo, *gen, *order, *in, *convert, *to); err != nil {
+	req, err := validateFlags(client.SolveRequest{
+		Algo: *algo, Alpha: *alpha, Epsilon: *eps, Order: *order, Seed: *seed, Workers: *workers,
+	}, *gen, *in, *convert, *to)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "covercli: %v\n", err)
 		os.Exit(2)
 	}
@@ -81,122 +91,160 @@ func main() {
 		return
 	}
 
-	if *server != "" {
-		runRemote(*server, *in, *gen, *n, *m, *opt, *algo, *alpha, *eps, *order, *seed, *workers, *trace)
-		return
-	}
-
-	// -trace collects one sample per stream pass; the timeline goes to
-	// stderr after the solve so stdout stays diffable (serve-smoke).
-	var tr *streamcover.PassTrace
+	// Setcover in adversarial order over a file is the paper's disk-resident
+	// solve, and its output has its own shape: a header without set-size
+	// stats and no verification line. Every path mirrors that shape for the
+	// same flags, so remote == local holds on every flag combination.
+	e := catalog.Lookup(req.Algo)
+	fileStreamed := *in != "" && req.Algo == catalog.SetCover &&
+		catalog.StreamOrder(req.Order) == streamcover.Adversarial
+	env := catalog.Env{Workers: req.Workers}
+	var log *passLog
 	if *trace {
-		tr = &streamcover.PassTrace{}
+		log = &passLog{}
+		if e.Grid {
+			log.Kernel = bitset.GridKernel() // as coverd reports it
+		}
+		env.Trace = log
 	}
+	st := (*client.SolveTrace)(log)
+	var (
+		inst *streamcover.Instance
+		res  client.SolveResult
+		sc   obstrace.SpanContext
+	)
+	if fileStreamed && !*replay && *server == "" {
+		res = solveFileHonest(*in, req, env)
+	} else {
+		inst = loadInstance(*in, *gen, *n, *m, *opt, *seed)
+		defer inst.Unmap()
+		printHeader(inst, fileStreamed)
+		if *replay {
+			env.Plan = func() *streamcover.ReplayPlan { return buildPlan(inst) }
+		}
+		if *server == "" {
+			if res, err = catalog.Run(context.Background(), inst, req, env); err != nil {
+				fatal(err)
+			}
+		} else {
+			// With -trace the upload and solve requests propagate one freshly
+			// minted traceparent: the server adopts its trace ID, and both
+			// request trees merge into one recorded trace rendered below.
+			ctx := context.Background()
+			if *trace {
+				sc = obstrace.SpanContext{TraceID: obstrace.NewTraceID(), SpanID: obstrace.NewSpanID(), Sampled: true}
+				ctx = client.WithTraceContext(ctx, sc.Traceparent())
+			}
+			res, st = solveRemote(ctx, client.New(*server), inst, req)
+		}
+	}
+	fmt.Println(e.Summary(req, res))
+	if inst != nil {
+		verify(inst, res.Cover, fileStreamed)
+	}
+	if *trace {
+		printTrace(e, st)
+		if *server != "" {
+			printRemoteSpanTree(client.New(*server), sc.TraceID.String())
+		}
+	}
+}
 
-	// For files, the streaming algorithms consume the file pass by pass
-	// without materializing it (stream.FileStream); the in-memory instance
-	// is still loaded for stats and verification.
-	if *in != "" && *algo == "alg1" && *order == "adversarial" {
-		runFileStreaming(*in, *alpha, *eps, *seed, *workers, *replay, tr)
+// printHeader prints the instance line that precedes every result.
+func printHeader(inst *streamcover.Instance, fileStreamed bool) {
+	if fileStreamed {
+		printFileHeader(inst.N, inst.M())
 		return
-	}
-	inst, err := loadInstance(*in, *gen, *n, *m, *opt, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "covercli: %v\n", err)
-		os.Exit(1)
 	}
 	st := streamcover.ComputeStats(inst)
 	fmt.Printf("instance: n=%d m=%d total=%d words, set sizes %d..%d (mean %.1f)\n",
 		st.N, st.M, st.TotalSize, st.MinSize, st.MaxSize, st.MeanSize)
-
-	ord := streamcover.Adversarial
-	if *order == "random" {
-		ord = streamcover.RandomOnce
-	}
-
-	switch *algo {
-	case "alg1":
-		res, err := streamcover.SolveSetCover(inst,
-			streamcover.WithAlpha(*alpha), streamcover.WithEpsilon(*eps),
-			streamcover.WithOrder(ord), streamcover.WithSeed(*seed),
-			streamcover.WithParallelism(*workers), streamcover.WithPassTrace(sinkOf(tr)))
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("alg1(α=%d): %s\n", *alpha, res)
-		verify(inst, res.Cover)
-		printLocalTrace(bitset.GridKernel(), tr)
-	case "progressive":
-		pg := baselines.NewProgressiveGreedy(inst.N, 2)
-		acc := drive(inst, pg, pg.MaxPasses(), ord, *seed, sinkOf(tr))
-		cover, ok := pg.Result()
-		report("progressive(λ=2)", cover, ok, acc)
-		verify(inst, cover)
-		printLocalTrace("", tr)
-	case "storeall":
-		sa := baselines.NewStoreAllGreedy(inst.N)
-		acc := drive(inst, sa, 2, ord, *seed, sinkOf(tr))
-		cover, ok := sa.Result()
-		report("storeall", cover, ok, acc)
-		verify(inst, cover)
-		printLocalTrace("", tr)
-	case "greedy":
-		cover, err := streamcover.GreedySetCover(inst)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("offline greedy: cover=%d sets\n", len(cover))
-		verify(inst, cover)
-		traceOfflineNote(*trace)
-	case "exact":
-		cover, err := streamcover.ExactSetCover(inst)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("offline exact: cover=%d sets (optimal)\n", len(cover))
-		verify(inst, cover)
-		traceOfflineNote(*trace)
-	default:
-		fmt.Fprintf(os.Stderr, "covercli: unknown -algo %q\n", *algo)
-		os.Exit(2)
-	}
 }
 
-// sinkOf converts the optional trace collector to a sink, keeping the
-// interface untyped-nil when tracing is off (a typed-nil sink would be
-// "non-nil" to the drivers and panic on the first pass).
-func sinkOf(tr *streamcover.PassTrace) streamcover.TraceSink {
-	if tr == nil {
-		return nil
+func printFileHeader(n, m int) { fmt.Printf("instance (file-streamed): n=%d m=%d\n", n, m) }
+
+// buildPlan records -replay's plan the first time the solver asks for
+// one, as coverd builds it.
+func buildPlan(inst *streamcover.Instance) *streamcover.ReplayPlan {
+	plan, err := streamcover.BuildReplayPlan(inst)
+	if err != nil {
+		fatal(err)
 	}
-	return tr
+	// Plan bytes are serving memory, never part of the reported space, so
+	// the note goes to stderr and stdout stays diffable.
+	fmt.Fprintf(os.Stderr, "replay: plan %d bytes, every pass served from memory\n", plan.Bytes())
+	return plan
 }
 
-// printLocalTrace prints the collected timeline on stderr. kernel names the
-// dispatched grid-kernel body for solves that sweep the guess grid.
-func printLocalTrace(kernel string, tr *streamcover.PassTrace) {
-	if tr == nil {
+// solveFileHonest runs Algorithm 1 over an instance file whose every pass
+// re-reads the file through a file-backed stream — the paper's
+// disk-resident model: instances larger than memory work as long as the
+// algorithm's own footprint fits, and a mid-pass file error aborts the
+// solve. core.SolveFileRNG matches core.Solve's RNG discipline, so the
+// result equals the catalog's setcover solve on the decoded instance,
+// which is what -replay and a remote (-server) run compute.
+func solveFileHonest(path string, req client.SolveRequest, env catalog.Env) client.SolveResult {
+	fs, err := stream.Open(path)
+	if err != nil {
+		fatal(err)
+	}
+	defer fs.Close()
+	printFileHeader(fs.Universe(), fs.Len())
+	cfg := core.Config{Alpha: req.Alpha, Epsilon: req.Epsilon, Workers: env.Workers, Trace: env.Trace}
+	best, acc, err := core.SolveStream(fs, cfg, core.SolveFileRNG(req.Seed))
+	if err != nil {
+		fatal(err)
+	}
+	return client.SolveResult{Cover: best.Cover, Guess: best.Guess, Passes: acc.Passes, SpaceWords: acc.PeakSpace}
+}
+
+// solveRemote solves on a coverd daemon: upload (deduplicated by content
+// hash), then solve the same normalized request.
+func solveRemote(ctx context.Context, c *client.Client, inst *streamcover.Instance, req client.SolveRequest) (client.SolveResult, *client.SolveTrace) {
+	up, err := c.UploadInstance(ctx, inst)
+	if err != nil {
+		fatal(err)
+	}
+	req.Instance = up.Hash
+	job, err := c.Solve(ctx, req)
+	if err != nil {
+		fatal(err)
+	}
+	if job.Status != client.StatusDone {
+		fatal(fmt.Errorf("remote job %s %s: %s", job.ID, job.Status, job.Error))
+	}
+	return *job.Result, job.Trace
+}
+
+// passLog is -trace's sink for a local solve: it collects the passes in
+// the wire form a remote job reports, so one printer renders both.
+type passLog client.SolveTrace
+
+// TracePass implements streamcover.TraceSink.
+func (l *passLog) TracePass(s streamcover.PassSample) {
+	l.Passes = append(l.Passes, client.PassTrace{
+		Pass: s.Pass, DurationSeconds: s.Duration.Seconds(), Items: s.Items,
+		SpaceWords: s.SpaceWords, PeakSpaceWords: s.PeakSpace, Live: s.Live, Replayed: s.Replayed,
+	})
+}
+
+// printTrace prints a solve's timeline on stderr, one line per pass, for
+// local and remote solves alike; stdout is untouched.
+func printTrace(e *catalog.Entry, st *client.SolveTrace) {
+	switch {
+	case !e.Streams:
+		fmt.Fprintln(os.Stderr, "trace: offline algorithm, no stream passes")
+		return
+	case st == nil:
+		// A cached result carries no trace: the server never re-ran the
+		// passes, so there is no timeline to report.
+		fmt.Fprintln(os.Stderr, "trace: server returned no per-pass trace (result-cache hit?)")
 		return
 	}
-	samples := tr.Samples()
-	wire := make([]client.PassTrace, len(samples))
-	for i, s := range samples {
-		wire[i] = client.PassTrace{
-			Pass: s.Pass, DurationSeconds: s.Duration.Seconds(), Items: s.Items,
-			SpaceWords: s.SpaceWords, PeakSpaceWords: s.PeakSpace,
-			Live: s.Live, Replayed: s.Replayed,
-		}
+	if st.Kernel != "" {
+		fmt.Fprintf(os.Stderr, "trace: grid kernel %s\n", st.Kernel)
 	}
-	printTrace(kernel, wire)
-}
-
-// printTrace is the shared timeline formatter for local samples and remote
-// job traces: one stderr line per pass, stdout untouched.
-func printTrace(kernel string, passes []client.PassTrace) {
-	if kernel != "" {
-		fmt.Fprintf(os.Stderr, "trace: grid kernel %s\n", kernel)
-	}
-	for _, p := range passes {
+	for _, p := range st.Passes {
 		note := ""
 		if p.Replayed {
 			note = " (replayed)"
@@ -209,106 +257,6 @@ func printTrace(kernel string, passes []client.PassTrace) {
 			line += fmt.Sprintf(", live %d", p.Live)
 		}
 		fmt.Fprintln(os.Stderr, line)
-	}
-}
-
-func traceOfflineNote(trace bool) {
-	if trace {
-		fmt.Fprintln(os.Stderr, "trace: offline algorithm, no stream passes")
-	}
-}
-
-// runRemote solves on a coverd daemon: upload (deduplicated by content
-// hash), solve with the same options, verify the returned cover locally.
-// The printed lines deliberately match the local driver byte for byte so
-// the serve-smoke target can diff a remote run against a local one.
-func runRemote(base, in, gen string, n, m, opt int, algo string, alpha int, eps float64,
-	order string, seed uint64, workers int, trace bool) {
-	inst, err := loadInstance(in, gen, n, m, opt, seed)
-	if err != nil {
-		fatal(err)
-	}
-	// A local `-in file -algo alg1` run with the default adversarial order
-	// takes the file-streaming path, whose output has its own shape (no
-	// stats or verification lines); mirror it so remote == local holds on
-	// every flag combination, not just the in-memory paths.
-	fileStreamed := in != "" && algo == "alg1" && order == "adversarial"
-	if fileStreamed {
-		fmt.Printf("instance (file-streamed): n=%d m=%d\n", inst.N, inst.M())
-	} else {
-		st := streamcover.ComputeStats(inst)
-		fmt.Printf("instance: n=%d m=%d total=%d words, set sizes %d..%d (mean %.1f)\n",
-			st.N, st.M, st.TotalSize, st.MinSize, st.MaxSize, st.MeanSize)
-	}
-
-	ctx := context.Background()
-	c := client.New(base)
-	// With -trace the upload and solve requests propagate one freshly
-	// minted traceparent: the server adopts its trace ID, and both request
-	// trees merge into one recorded trace fetched and rendered below.
-	var sc obstrace.SpanContext
-	if trace {
-		sc = obstrace.SpanContext{
-			TraceID: obstrace.NewTraceID(), SpanID: obstrace.NewSpanID(), Sampled: true,
-		}
-		ctx = client.WithTraceContext(ctx, sc.Traceparent())
-	}
-	up, err := c.UploadInstance(ctx, inst)
-	if err != nil {
-		fatal(err)
-	}
-	job, err := c.Solve(ctx, client.SolveRequest{
-		Instance: up.Hash, Algo: algo, Alpha: alpha, Epsilon: eps,
-		Order: order, Seed: seed, Workers: workers,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if job.Status != client.StatusDone {
-		fatal(fmt.Errorf("remote job %s %s: %s", job.ID, job.Status, job.Error))
-	}
-	res := job.Result
-	switch algo {
-	case "alg1":
-		fmt.Printf("alg1(α=%d): %s\n", alpha, streamcover.SetCoverResult{
-			Cover: res.Cover, Guess: res.Guess, Passes: res.Passes, SpaceWords: res.SpaceWords,
-		})
-		if fileStreamed {
-			// The file-streaming path prints no verification line; verify
-			// quietly to keep the output diffable while still checking.
-			if !inst.IsCover(res.Cover) {
-				fatal(fmt.Errorf("INTERNAL ERROR: remote cover does not cover the universe"))
-			}
-		} else {
-			verify(inst, res.Cover)
-		}
-	case "progressive":
-		fmt.Printf("progressive(λ=2): cover=%d sets, %d passes, %d words\n",
-			len(res.Cover), res.Passes, res.SpaceWords)
-		verify(inst, res.Cover)
-	case "storeall":
-		fmt.Printf("storeall: cover=%d sets, %d passes, %d words\n",
-			len(res.Cover), res.Passes, res.SpaceWords)
-		verify(inst, res.Cover)
-	case "greedy":
-		fmt.Printf("offline greedy: cover=%d sets\n", len(res.Cover))
-		verify(inst, res.Cover)
-	case "exact":
-		fmt.Printf("offline exact: cover=%d sets (optimal)\n", len(res.Cover))
-		verify(inst, res.Cover)
-	}
-	if trace {
-		switch {
-		case job.Trace != nil:
-			printTrace(job.Trace.Kernel, job.Trace.Passes)
-		case algo == "greedy" || algo == "exact":
-			traceOfflineNote(true)
-		default:
-			// A cached result carries no trace: the server never re-ran the
-			// passes, so there is no timeline to report.
-			fmt.Fprintln(os.Stderr, "trace: server returned no per-pass trace (result-cache hit?)")
-		}
-		printRemoteSpanTree(c, sc.TraceID.String())
 	}
 }
 
@@ -367,78 +315,13 @@ func printSpans(spans []client.TraceSpan, depth int) {
 	}
 }
 
-// runFileStreaming runs Algorithm 1 over an instance file. By default each
-// pass re-reads the file through a file-backed stream — the paper's
-// disk-resident model: instances larger than memory work as long as the
-// algorithm's own footprint fits, and a mid-pass file error aborts the
-// solve. With -replay the file is loaded once and every pass is served
-// from a replay plan, coverd's path for a resident instance. Both print the
-// same stdout: core.SolveFileRNG matches core.Solve's RNG discipline, so
-// either equals SolveSetCover on the decoded instance — which is also what
-// a remote (-server) run computes.
-func runFileStreaming(path string, alpha int, eps float64, seed uint64, workers int, replay bool,
-	tr *streamcover.PassTrace) {
-	solve := solveFileHonest
-	if replay {
-		solve = solveFileReplay
-	}
-	res, err := solve(path, alpha, eps, seed, workers, sinkOf(tr))
-	if err != nil {
-		if errors.Is(err, streamcover.ErrInfeasible) {
-			fmt.Println("alg1: infeasible (universe not coverable)")
-			os.Exit(1)
-		}
-		fatal(err)
-	}
-	fmt.Printf("alg1(α=%d): %s\n", alpha, res)
-	printLocalTrace(bitset.GridKernel(), tr)
-}
-
-func solveFileHonest(path string, alpha int, eps float64, seed uint64, workers int,
-	sink streamcover.TraceSink) (streamcover.SetCoverResult, error) {
-	fs, err := stream.Open(path)
-	if err != nil {
-		return streamcover.SetCoverResult{}, err
-	}
-	defer fs.Close()
-	fmt.Printf("instance (file-streamed): n=%d m=%d\n", fs.Universe(), fs.Len())
-	cfg := core.Config{Alpha: alpha, Epsilon: eps, Workers: workers, Trace: sink}
-	best, acc, err := core.SolveStream(fs, cfg, core.SolveFileRNG(seed))
-	return streamcover.SetCoverResult{
-		Cover: best.Cover, Guess: best.Guess, Passes: acc.Passes, SpaceWords: acc.PeakSpace,
-	}, err
-}
-
-func solveFileReplay(path string, alpha int, eps float64, seed uint64, workers int,
-	sink streamcover.TraceSink) (streamcover.SetCoverResult, error) {
-	inst, err := setsystem.Load(path)
-	if err != nil {
-		return streamcover.SetCoverResult{}, err
-	}
-	defer inst.Unmap()
-	fmt.Printf("instance (file-streamed): n=%d m=%d\n", inst.N, inst.M())
-	plan, err := streamcover.BuildReplayPlan(inst)
-	if err != nil {
-		return streamcover.SetCoverResult{}, err
-	}
-	// Plan bytes are serving memory, never part of the reported space, so
-	// the note goes to stderr and stdout stays diffable against -replay=false.
-	fmt.Fprintf(os.Stderr, "replay: plan %d bytes, every pass served from memory\n", plan.Bytes())
-	return streamcover.SolveSetCover(inst,
-		streamcover.WithAlpha(alpha), streamcover.WithEpsilon(eps), streamcover.WithSeed(seed),
-		streamcover.WithParallelism(workers), streamcover.WithReplayPlan(plan), streamcover.WithPassTrace(sink))
-}
-
 // runConvert loads the instance (-in file in any codec, or a generator)
 // and rewrites it at the given path in the requested codec. The common
 // uses: re-encode a text or SCB1 instance as SCB2 so every later open is
 // a zero-copy mmap (covercli -in, coverd -load), or dump an SCB2 file
 // back to text for inspection.
 func runConvert(outPath, to, in, gen string, n, m, opt int, seed uint64) {
-	inst, err := loadInstance(in, gen, n, m, opt, seed)
-	if err != nil {
-		fatal(err)
-	}
+	inst := loadInstance(in, gen, n, m, opt, seed)
 	var encode func(io.Writer, *streamcover.Instance) error
 	switch to {
 	case "scb2":
@@ -467,59 +350,38 @@ func runConvert(outPath, to, in, gen string, n, m, opt int, seed uint64) {
 		outPath, to, inst.N, inst.M(), inst.TotalElems(), fi.Size())
 }
 
-func loadInstance(path, gen string, n, m, opt int, seed uint64) (*streamcover.Instance, error) {
-	if path != "" {
-		f, err := os.Open(path)
+// loadInstance loads the -in file (SCB2 mapped, SCB1/text decoded) or runs
+// the -gen generator, which validateFlags has already checked.
+func loadInstance(path, gen string, n, m, opt int, seed uint64) *streamcover.Instance {
+	switch {
+	case path != "":
+		inst, err := setsystem.Load(path)
 		if err != nil {
-			return nil, err
+			fatal(err)
 		}
-		defer f.Close()
-		return streamcover.ReadInstance(f)
-	}
-	switch gen {
-	case "planted":
+		return inst
+	case gen == "planted":
 		inst, planted := streamcover.GeneratePlanted(seed, n, m, opt)
 		fmt.Printf("planted optimum: %d sets %v\n", len(planted), planted)
-		return inst, nil
-	case "uniform":
-		return streamcover.GenerateUniform(seed, n, m, n/16+1, n/4+1), nil
-	case "zipf":
-		return streamcover.GenerateZipf(seed, n, m, 1.5, n/4+1), nil
-	case "clustered":
-		return streamcover.GenerateClustered(seed, n, m, 8, n/8+1), nil
+		return inst
+	case gen == "uniform":
+		return streamcover.GenerateUniform(seed, n, m, n/16+1, n/4+1)
+	case gen == "zipf":
+		return streamcover.GenerateZipf(seed, n, m, 1.5, n/4+1)
 	default:
-		return nil, fmt.Errorf("unknown generator %q", gen)
+		return streamcover.GenerateClustered(seed, n, m, 8, n/8+1)
 	}
 }
 
-func drive(inst *setsystem.Instance, alg stream.PassAlgorithm, maxPasses int,
-	ord streamcover.Order, seed uint64, sink stream.TraceSink) stream.Accounting {
-	var r *rng.RNG
-	if ord != streamcover.Adversarial {
-		r = rng.New(seed)
-	}
-	s := stream.FromInstance(inst, ord, r)
-	acc, err := stream.RunTraced(context.Background(), s, alg, maxPasses, sink)
-	if err != nil {
-		fatal(err)
-	}
-	return acc
-}
-
-func report(name string, cover []int, ok bool, acc stream.Accounting) {
-	if !ok {
-		fmt.Printf("%s: infeasible (universe not coverable)\n", name)
-		os.Exit(1)
-	}
-	fmt.Printf("%s: cover=%d sets, %d passes, %d words\n", name, len(cover), acc.Passes, acc.PeakSpace)
-}
-
-func verify(inst *streamcover.Instance, cover []int) {
+// verify checks the reported cover against the instance. It prints its
+// verdict except on the file-streamed shape, which checks quietly.
+func verify(inst *streamcover.Instance, cover []int, quiet bool) {
 	if !inst.IsCover(cover) {
-		fmt.Fprintln(os.Stderr, "covercli: INTERNAL ERROR: reported cover does not cover the universe")
-		os.Exit(1)
+		fatal(errors.New("INTERNAL ERROR: reported cover does not cover the universe"))
 	}
-	fmt.Println("verified: cover is feasible")
+	if !quiet {
+		fmt.Println("verified: cover is feasible")
+	}
 }
 
 func fatal(err error) {

@@ -3,17 +3,16 @@ package main
 import (
 	"fmt"
 	"strings"
+
+	"streamcover/client"
+	"streamcover/internal/catalog"
 )
 
-// Valid flag vocabularies. Unknown values are rejected up front with a
-// usage line instead of falling through to a default mid-run (an
-// unnoticed typo like -order=adverserial used to silently solve in
-// adversarial order; -algo and -gen used to fail only after generating or
-// loading the instance).
+// Valid flag vocabularies outside the solve request. Unknown values are
+// rejected up front with a usage line instead of failing only after
+// generating or loading the instance.
 var (
-	validAlgos  = []string{"alg1", "progressive", "storeall", "greedy", "exact"}
 	validGens   = []string{"planted", "uniform", "zipf", "clustered"}
-	validOrders = []string{"adversarial", "random"}
 	validCodecs = []string{"scb2", "scb1", "text"}
 )
 
@@ -28,22 +27,20 @@ func validateChoice(flagName, val string, valid []string) error {
 	return fmt.Errorf("unknown -%s %q (valid: %s)", flagName, val, strings.Join(valid, ", "))
 }
 
-// validateFlags rejects unknown -algo/-gen/-order/-to values. gen is only
-// validated when it will be used (no -in file), and -to only when
-// -convert is in play.
-func validateFlags(algo, gen, order, in, convert, to string) error {
-	if err := validateChoice("algo", algo, validAlgos); err != nil {
-		return err
-	}
+// validateFlags rejects unknown -gen/-to values and returns the solve
+// request the catalog normalizes from -algo, -alpha, -eps, -order and
+// -seed, or the catalog's error. gen is only validated when it will be
+// used (no -in file), and -to only when -convert is in play.
+func validateFlags(req client.SolveRequest, gen, in, convert, to string) (client.SolveRequest, error) {
 	if in == "" {
 		if err := validateChoice("gen", gen, validGens); err != nil {
-			return err
+			return req, err
 		}
 	}
 	if convert != "" {
 		if err := validateChoice("to", to, validCodecs); err != nil {
-			return err
+			return req, err
 		}
 	}
-	return validateChoice("order", order, validOrders)
+	return catalog.Normalize(req)
 }

@@ -82,15 +82,6 @@ type traceRecorder struct {
 	passes []client.PassTrace
 }
 
-// setSpan routes subsequent pass samples to sp as span events. Called once,
-// before the solve starts emitting; nil receivers (untraced algos) and nil
-// spans (tracing off) are no-ops downstream.
-func (t *traceRecorder) setSpan(sp *trace.Span) {
-	if t != nil {
-		t.span = sp
-	}
-}
-
 // newTraceRecorder returns a recorder for one streaming job. gridKernel
 // selects whether the dispatched bitset grid-kernel body is recorded —
 // true only for solves that sweep the guess grid (setcover).

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"streamcover"
+	"streamcover/internal/catalog"
 	"streamcover/internal/registry"
 	"streamcover/internal/setsystem"
 )
@@ -158,7 +159,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	// Unknown algo: 400 with the valid choices listed.
 	e = decode[ErrorResponse](t, postJSON(t, srv.URL+"/v1/solve",
 		SolveRequest{Instance: hash, Algo: "quantum"}), http.StatusBadRequest)
-	for _, algo := range Algos {
+	for _, algo := range catalog.Algos {
 		if !strings.Contains(e.Error, algo) {
 			t.Fatalf("error %q does not list valid algo %q", e.Error, algo)
 		}

@@ -21,14 +21,15 @@
 // # Determinism over the wire
 //
 // A job's result is a pure function of (instance content hash, normalized
-// solve options): solves run through the same public entry points as an
-// in-process call with a caller-supplied seed, and the worker count is
-// excluded from the function by the library's parallelism-determinism
-// contract. That is what makes the result cache sound — Results returns
-// bit-identical covers, pass counts and space accounting whether computed
-// or cached, and a coverd answer equals the corresponding local
-// streamcover.SolveSetCover answer exactly (pinned by TestWireDeterminism
-// and the serve-smoke CI target).
+// solve options): Submit normalizes and keys each request with
+// internal/catalog, and the job runs through catalog.Run — the same table
+// covercli solves through locally — with a caller-supplied seed. The
+// worker count is excluded from the function by the library's
+// parallelism-determinism contract. That is what makes the result cache
+// sound — Results returns bit-identical covers, pass counts and space
+// accounting whether computed or cached, and a coverd answer equals the
+// corresponding local solve exactly (pinned by TestWireDeterminism,
+// TestCatalogConformance and the serve-smoke CI target).
 //
 // # Cancellation
 //
@@ -44,19 +45,15 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"streamcover"
 	"streamcover/client"
-	"streamcover/internal/baselines"
+	"streamcover/internal/catalog"
 	"streamcover/internal/obs"
 	"streamcover/internal/obs/trace"
 	"streamcover/internal/registry"
-	"streamcover/internal/rng"
-	"streamcover/internal/stream"
 )
 
 // The wire types live in the public client package (shared with the Go
@@ -78,94 +75,14 @@ const (
 	StatusCanceled = client.StatusCanceled
 )
 
-// Algos and Orders are the accepted enum vocabularies ("alg1" and "random"
-// are normalized to "setcover" and "random-once" respectively).
-var (
-	Algos  = client.Algos
-	Orders = client.Orders
-)
-
-// normalize applies option defaults and validates the enum fields,
-// returning the canonical request whose field values define the cache key.
-func normalize(r SolveRequest) (SolveRequest, error) {
-	switch r.Algo {
-	case "", "alg1":
-		r.Algo = "setcover"
-	case "setcover", "maxcover", "greedy", "exact", "progressive", "storeall":
-	default:
-		return r, &BadRequestError{fmt.Sprintf("unknown algo %q (valid: %s, or alg1 as an alias for setcover)",
-			r.Algo, strings.Join(Algos, ", "))}
-	}
-	switch r.Order {
-	case "", "adversarial":
-		r.Order = "adversarial"
-	case "random", "random-once":
-		r.Order = "random-once"
-	case "random-each-pass":
-	default:
-		return r, &BadRequestError{fmt.Sprintf("unknown order %q (valid: %s, or random as an alias for random-once)",
-			r.Order, strings.Join(Orders, ", "))}
-	}
-	if r.Instance == "" {
-		return r, &BadRequestError{"missing instance hash (upload via POST /v1/instances first)"}
-	}
-	if r.Alpha == 0 {
-		r.Alpha = 2
-	}
-	if r.Alpha < 1 {
-		return r, &BadRequestError{fmt.Sprintf("alpha %d out of range (want >= 1)", r.Alpha)}
-	}
-	if r.Epsilon == 0 {
-		if r.Algo == "maxcover" {
-			r.Epsilon = 0.1
-		} else {
-			r.Epsilon = 0.5
-		}
-	}
-	if r.Epsilon < 0 || r.Epsilon > 1 {
-		return r, &BadRequestError{fmt.Sprintf("epsilon %g out of range (0,1]", r.Epsilon)}
-	}
-	// Seed passes through verbatim — including 0, a legal seed. Rewriting
-	// it would make an explicit {"seed":0} solve differently from the
-	// in-process WithSeed(0) call, breaking determinism over the wire.
-	if r.Algo == "maxcover" && r.K < 1 {
-		return r, &BadRequestError{fmt.Sprintf("maxcover needs k >= 1, got %d", r.K)}
-	}
-	if r.Algo == "progressive" && r.Lambda == 0 {
-		r.Lambda = 2
-	}
-	return r, nil
-}
-
-// orderOf maps the canonical order name to the stream order.
-func orderOf(r SolveRequest) streamcover.Order {
-	switch r.Order {
-	case "random-once":
-		return streamcover.RandomOnce
-	case "random-each-pass":
-		return streamcover.RandomEachPass
-	default:
-		return streamcover.Adversarial
-	}
-}
-
-// cacheKey identifies the result of a normalized request: the instance
-// content hash plus every result-affecting option. Workers, NoCache and
-// Wait are deliberately absent — the first cannot change the result, the
-// others are per-call behavior.
-func cacheKey(r SolveRequest) string {
-	return fmt.Sprintf("%s|%s|a=%d|e=%g|s=%d|o=%s|g=%t|c=%g|h=%d|k=%d|l=%g",
-		r.Instance, r.Algo, r.Alpha, r.Epsilon, r.Seed, r.Order,
-		r.GreedySubsolver, r.SampleConstant, r.OptimumHint, r.K, r.Lambda)
-}
-
 // job is the scheduler-owned mutable record behind Job snapshots. Fields
 // are guarded by Scheduler.mu; done is closed exactly once on reaching a
 // terminal status.
 type job struct {
 	id       string
 	status   JobStatus
-	req      SolveRequest
+	req      SolveRequest // normalized
+	key      string       // catalog.Key(req); "" when caching is off
 	result   *SolveResult
 	err      error
 	cacheHit bool
@@ -188,7 +105,8 @@ type job struct {
 	traceID   string
 }
 
-// BadRequestError is a validation failure the HTTP layer maps to 400.
+// BadRequestError is a validation failure the HTTP layer maps to 400: a
+// request the catalog rejects, or one that names no instance.
 type BadRequestError struct{ Msg string }
 
 func (e *BadRequestError) Error() string { return e.Msg }
@@ -226,7 +144,8 @@ type Config struct {
 	// DisableReplay turns the pass-replay plane off: no plans are built or
 	// attached, and every solve streams honestly each pass. The default
 	// (false) builds a replay plan lazily the first time an instance is
-	// solved with the multi-pass setcover algorithm and serves all later
+	// solved by a solver that consumes one (the multi-pass setcover
+	// algorithm) and serves all later
 	// passes — of that job and every subsequent one on the instance — from
 	// it. Replay never changes results (bit-identical by construction and
 	// by the replay-parity tests); plan bytes are charged to the registry
@@ -334,9 +253,12 @@ func (s *Scheduler) Submit(req SolveRequest) (Job, error) {
 func (s *Scheduler) SubmitContext(ctx context.Context, req SolveRequest) (Job, error) {
 	ctx, adm := trace.StartSpan(ctx, "admission")
 	defer adm.End()
-	req, err := normalize(req)
+	req, err := catalog.Normalize(req)
 	if err != nil {
-		return Job{}, err
+		return Job{}, &BadRequestError{err.Error()}
+	}
+	if req.Instance == "" {
+		return Job{}, &BadRequestError{"missing instance hash (upload via POST /v1/instances first)"}
 	}
 	adm.SetAttr("algo", req.Algo)
 	adm.SetAttr("instance", req.Instance)
@@ -369,9 +291,12 @@ func (s *Scheduler) SubmitContext(ctx context.Context, req SolveRequest) (Job, e
 	if adm.Recording() {
 		j.traceID = adm.Context().TraceID.String()
 	}
-	if !req.NoCache && s.cfg.CacheEntries >= 0 {
+	if s.cfg.CacheEntries > 0 { // withDefaults leaves it positive or negative
+		j.key = catalog.Key(req)
+	}
+	if !req.NoCache && s.cfg.CacheEntries > 0 {
 		_, cs := trace.StartSpan(ctx, "cache")
-		res, ok := s.cache[cacheKey(req)]
+		res, ok := s.cache[j.key]
 		cs.SetBool("hit", ok)
 		cs.End()
 		if ok {
@@ -493,8 +418,8 @@ func (s *Scheduler) runJob(j *job) {
 	j.status = StatusRunning
 	j.started = time.Now()
 	j.cancel = cancel
-	if tracedAlgo(j.req.Algo) {
-		j.trace = newTraceRecorder(s.metrics, j.req.Algo == "setcover")
+	if e := catalog.Lookup(j.req.Algo); e.Streams {
+		j.trace = newTraceRecorder(s.metrics, e.Grid)
 	}
 	s.stats.Running++
 	if s.stats.Running > s.stats.PeakRunning {
@@ -514,18 +439,7 @@ func (s *Scheduler) runJob(j *job) {
 
 	res, err := s.solve(ctx, inst, j.req, j.trace)
 	cancel()
-	s.finish(j, res, err)
-}
-
-// tracedAlgo reports whether the algo runs a streaming pass driver (and so
-// produces a per-pass trace); the offline references (greedy, exact) do not
-// stream.
-func tracedAlgo(algo string) bool {
-	switch algo {
-	case "setcover", "maxcover", "progressive", "storeall":
-		return true
-	}
-	return false
+	s.finish(j, &res, err) // res is ignored on error
 }
 
 // logFinished emits the terminal job-lifecycle log line. Called after the
@@ -572,7 +486,7 @@ func (s *Scheduler) finishLocked(j *job, res *SolveResult, err error) {
 		// NoCache skips only the lookup; the fresh result still refreshes
 		// the cache (the documented semantics of a forced recompute).
 		if s.cfg.CacheEntries > 0 {
-			s.cacheStoreLocked(cacheKey(j.req), res)
+			s.cacheStoreLocked(j.key, res)
 		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.status = StatusCanceled
@@ -613,16 +527,13 @@ func (s *Scheduler) cacheStoreLocked(key string, res *SolveResult) {
 }
 
 // replayPlan returns the pass-replay plan for the instance, building it
-// lazily on the first multi-pass solve and attaching it to the registry
-// entry (which charges the plan's bytes to the memory budget and drops the
-// plan if the instance is evicted). Returns nil — and the solve streams
-// honestly — when replay is disabled or the plan does not fit the budget.
-// Concurrent first solves may each build a plan; the registry keeps exactly
-// one and the losers serve their own copy for just their job.
+// lazily on the first solve that consumes one and attaching it to the
+// registry entry (which charges the plan's bytes to the memory budget and
+// drops the plan if the instance is evicted). Returns nil — and the solve
+// streams honestly — when the plan cannot be built. Concurrent first
+// solves may each build a plan; the registry keeps exactly one and the
+// losers serve their own copy for just their job.
 func (s *Scheduler) replayPlan(ctx context.Context, inst *streamcover.Instance, hash string) *streamcover.ReplayPlan {
-	if s.cfg.DisableReplay {
-		return nil
-	}
 	_, sp := trace.StartSpan(ctx, "plan")
 	defer sp.End()
 	if p, ok := s.reg.Plan(hash); ok {
@@ -649,10 +560,10 @@ func (s *Scheduler) replayPlan(ctx context.Context, inst *streamcover.Instance, 
 	return plan
 }
 
-// solve dispatches one job to the right solver, threading the job context,
-// the per-job worker budget, and the job's pass-trace recorder (nil for the
-// offline references).
-func (s *Scheduler) solve(ctx context.Context, inst *streamcover.Instance, req SolveRequest, tr *traceRecorder) (*SolveResult, error) {
+// solve runs one job through the catalog with the job context, the per-job
+// worker budget, the job's pass-trace recorder (nil for the offline
+// references) and the instance's replay plan, built only if consumed.
+func (s *Scheduler) solve(ctx context.Context, inst *streamcover.Instance, req SolveRequest, tr *traceRecorder) (SolveResult, error) {
 	workers := s.cfg.JobWorkers
 	if req.Workers > 0 && req.Workers < workers {
 		workers = req.Workers
@@ -661,100 +572,19 @@ func (s *Scheduler) solve(ctx context.Context, inst *streamcover.Instance, req S
 	defer sp.End()
 	sp.SetAttr("algo", req.Algo)
 	sp.SetInt("workers", workers)
-	// Bridge the per-pass trace sink: each completed pass becomes one event
-	// on the solve span, reusing the drivers' existing single
-	// instrumentation point.
-	tr.setSpan(sp)
-	// A typed-nil recorder must become an untyped-nil sink, or the drivers
-	// would see a non-nil interface and trace into nothing.
-	var sink stream.TraceSink
+	env := catalog.Env{Workers: workers}
 	if tr != nil {
-		sink = tr
+		// Each completed pass becomes one event on the solve span. A nil
+		// recorder must stay an untyped-nil sink, or the drivers would see
+		// a non-nil interface and trace into nothing.
+		tr.span = sp
+		env.Trace = tr
 	}
-	switch req.Algo {
-	case "setcover":
-		opts := []streamcover.Option{
-			streamcover.WithAlpha(req.Alpha), streamcover.WithEpsilon(req.Epsilon),
-			streamcover.WithOrder(orderOf(req)), streamcover.WithSeed(req.Seed),
-			streamcover.WithParallelism(workers), streamcover.WithContext(ctx),
-			streamcover.WithPassTrace(sink),
-		}
-		if req.GreedySubsolver {
-			opts = append(opts, streamcover.WithGreedySubsolver())
-		}
-		if req.SampleConstant > 0 {
-			opts = append(opts, streamcover.WithSampleConstant(req.SampleConstant))
-		}
-		if req.OptimumHint > 0 {
-			opts = append(opts, streamcover.WithOptimumHint(req.OptimumHint))
-		}
-		if plan := s.replayPlan(ctx, inst, req.Instance); plan != nil {
-			opts = append(opts, streamcover.WithReplayPlan(plan))
-		}
-		res, err := streamcover.SolveSetCover(inst, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return &SolveResult{Cover: res.Cover, Guess: res.Guess, Passes: res.Passes, SpaceWords: res.SpaceWords}, nil
-	case "maxcover":
-		opts := []streamcover.Option{
-			streamcover.WithEpsilon(req.Epsilon), streamcover.WithOrder(orderOf(req)),
-			streamcover.WithSeed(req.Seed), streamcover.WithParallelism(workers),
-			streamcover.WithContext(ctx), streamcover.WithPassTrace(sink),
-		}
-		if req.GreedySubsolver {
-			opts = append(opts, streamcover.WithGreedySubsolver())
-		}
-		if req.SampleConstant > 0 {
-			opts = append(opts, streamcover.WithSampleConstant(req.SampleConstant))
-		}
-		res, err := streamcover.SolveMaxCoverage(inst, req.K, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return &SolveResult{Cover: res.Chosen, Covered: res.Covered, Passes: res.Passes, SpaceWords: res.SpaceWords}, nil
-	case "greedy":
-		cover, err := streamcover.GreedySetCoverContext(ctx, inst)
-		if err != nil {
-			return nil, err
-		}
-		return &SolveResult{Cover: cover}, nil
-	case "exact":
-		cover, err := streamcover.ExactSetCoverContext(ctx, inst)
-		if err != nil {
-			return nil, err
-		}
-		return &SolveResult{Cover: cover}, nil
-	case "progressive":
-		pg := baselines.NewProgressiveGreedy(inst.N, req.Lambda)
-		return s.runBaseline(ctx, inst, req, pg, pg.MaxPasses(), pg.Result, sink)
-	case "storeall":
-		sa := baselines.NewStoreAllGreedy(inst.N)
-		return s.runBaseline(ctx, inst, req, sa, 2, sa.Result, sink)
-	default:
-		return nil, &BadRequestError{fmt.Sprintf("unknown algo %q", req.Algo)}
+	if !s.cfg.DisableReplay {
+		hash := req.Instance
+		env.Plan = func() *streamcover.ReplayPlan { return s.replayPlan(ctx, inst, hash) }
 	}
-}
-
-// runBaseline drives a streaming baseline over the instance in the
-// requested order, mirroring covercli's local driver.
-func (s *Scheduler) runBaseline(ctx context.Context, inst *streamcover.Instance, req SolveRequest,
-	alg stream.PassAlgorithm, maxPasses int, result func() ([]int, bool), sink stream.TraceSink) (*SolveResult, error) {
-	var orderRNG *rng.RNG
-	if orderOf(req) != streamcover.Adversarial {
-		orderRNG = rng.New(req.Seed)
-	}
-	st := stream.FromInstance(inst, orderOf(req), orderRNG)
-	acc, err := stream.RunTraced(ctx, st, alg, maxPasses, sink)
-	if err != nil {
-		return nil, err
-	}
-	cover, ok := result()
-	if !ok {
-		return nil, streamcover.ErrInfeasible
-	}
-	sort.Ints(cover)
-	return &SolveResult{Cover: cover, Passes: acc.Passes, SpaceWords: acc.PeakSpace}, nil
+	return catalog.Run(ctx, inst, req, env)
 }
 
 // Cancel requests cancellation of a job: queued jobs terminate without

@@ -3,12 +3,16 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"streamcover"
+	"streamcover/internal/catalog"
 	"streamcover/internal/registry"
 	"streamcover/internal/setsystem"
 )
@@ -228,6 +232,11 @@ func TestSchedulerValidation(t *testing.T) {
 		{Instance: hash, Epsilon: 2},
 		{Instance: hash, Algo: "maxcover"}, // missing k
 		{},                                 // missing instance
+		// Values the solvers would silently rewrite or drop.
+		{Instance: hash, Algo: "progressive", Lambda: 0.5},
+		{Instance: hash, Algo: "progressive", Lambda: -3},
+		{Instance: hash, SampleConstant: -1},
+		{Instance: hash, OptimumHint: -1},
 	}
 	for i, req := range cases {
 		if _, err := sched.Submit(req); !errors.As(err, &bad) {
@@ -242,31 +251,65 @@ func TestSchedulerValidation(t *testing.T) {
 	}
 }
 
-func TestSchedulerBaselineAndOfflineAlgos(t *testing.T) {
-	reg, sched := newEnv(t, registry.Config{}, Config{Slots: 2})
+// TestCatalogConformance is local == remote for the whole catalog: every
+// entry × arrival order × seed, served over HTTP by a scheduler with
+// 4-way job parallelism and replay on, must equal catalog.Run in process
+// at one worker with no plan — cover, guess, covered, passes and space.
+// Every set cover result must also be feasible.
+func TestCatalogConformance(t *testing.T) {
+	srv, _, _ := newHTTPEnv(t, registry.Config{}, Config{Slots: 2, JobWorkers: 4})
 	inst := smallInst(4)
-	hash, _, err := reg.Put(inst)
+	hash := upload(t, srv.URL, inst, http.StatusCreated).Hash
+	for _, algo := range catalog.Algos {
+		for _, order := range catalog.Orders {
+			for _, seed := range []uint64{0, 7} {
+				req := SolveRequest{Instance: hash, Algo: algo, Order: order, Seed: seed, Wait: true}
+				if algo == "maxcover" {
+					req.K = 4
+				}
+				name := fmt.Sprintf("%s/%s/seed=%d", algo, order, seed)
+				job := decode[Job](t, postJSON(t, srv.URL+"/v1/solve", req), http.StatusOK)
+				if job.Status != StatusDone {
+					t.Fatalf("%s: served job %s (%s)", name, job.Status, job.Error)
+				}
+				norm, err := catalog.Normalize(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := catalog.Run(t.Context(), inst, norm, catalog.Env{Workers: 1})
+				if err != nil {
+					t.Fatalf("%s: local run: %v", name, err)
+				}
+				if !reflect.DeepEqual(*job.Result, want) {
+					t.Fatalf("%s: served %+v, local %+v", name, *job.Result, want)
+				}
+				if algo != "maxcover" && !inst.IsCover(want.Cover) {
+					t.Fatalf("%s: result is not a cover", name)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayPlanBuiltOnlyWhenConsumed pins the lazy plan in catalog.Env:
+// jobs whose solver takes no replay plan never build one, and the first
+// setcover job does.
+func TestReplayPlanBuiltOnlyWhenConsumed(t *testing.T) {
+	reg, sched := newEnv(t, registry.Config{}, Config{Slots: 1})
+	hash, _, err := reg.Put(smallInst(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []string{"setcover", "maxcover", "greedy", "exact", "progressive", "storeall"} {
-		req := SolveRequest{Instance: hash, Algo: algo, K: 4}
-		job, err := sched.Submit(req)
+	for _, algo := range slices.Concat(catalog.Algos[1:], catalog.Algos[:1]) {
+		job, err := sched.Submit(SolveRequest{Instance: hash, Algo: algo, K: 4})
 		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+			t.Fatal(err)
 		}
-		final, err := sched.Wait(t.Context(), job.ID)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
+		if final, err := sched.Wait(t.Context(), job.ID); err != nil || final.Status != StatusDone {
+			t.Fatalf("%s: %v %+v", algo, err, final)
 		}
-		if final.Status != StatusDone {
-			t.Fatalf("%s: finished %s (%s)", algo, final.Status, final.Error)
-		}
-		if len(final.Result.Cover) == 0 {
-			t.Fatalf("%s: empty cover", algo)
-		}
-		if algo != "maxcover" && !inst.IsCover(final.Result.Cover) {
-			t.Fatalf("%s: result is not a cover", algo)
+		if built := reg.Stats().PlanBytes > 0; built != (algo == "setcover") {
+			t.Fatalf("after a %s job: plan built = %v", algo, built)
 		}
 	}
 }
@@ -466,40 +509,48 @@ func TestSchedulerStop(t *testing.T) {
 	}
 }
 
+// TestCacheKeyCoversOptions walks SolveRequest's fields: a non-zero value
+// in any result-affecting field must change the cache key, and one in a
+// per-call field must not. A field added later is covered without an edit
+// here, unless no candidate value below normalizes for it.
 func TestCacheKeyCoversOptions(t *testing.T) {
-	base := SolveRequest{Instance: "h", Algo: "setcover"}
-	norm := func(r SolveRequest) string {
-		n, err := normalize(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cacheKey(n)
+	perCall := map[string]bool{"Workers": true, "NoCache": true, "Wait": true}
+	candidates := map[reflect.Kind][]any{
+		reflect.String:  {"h2", "progressive", "random-each-pass"},
+		reflect.Int:     {3},
+		reflect.Uint64:  {uint64(9)},
+		reflect.Float64: {0.25, 3.0},
+		reflect.Bool:    {true},
 	}
-	keys := map[string]string{"base": norm(base)}
-	variants := map[string]SolveRequest{
-		"alpha":   {Instance: "h", Alpha: 3},
-		"eps":     {Instance: "h", Epsilon: 0.25},
-		"seed":    {Instance: "h", Seed: 9},
-		"order":   {Instance: "h", Order: "random"},
-		"gsub":    {Instance: "h", GreedySubsolver: true},
-		"sampleC": {Instance: "h", SampleConstant: 4},
-		"hint":    {Instance: "h", OptimumHint: 5},
-		"algo":    {Instance: "h", Algo: "progressive"},
-		"inst":    {Instance: "h2"},
+	key := func(r SolveRequest) (string, error) {
+		n, err := catalog.Normalize(r)
+		return catalog.Key(n), err
 	}
-	for name, req := range variants {
-		k := norm(req)
-		for prev, pk := range keys {
-			if k == pk {
-				t.Fatalf("option %q does not change the cache key (collides with %q): %s", name, prev, k)
+	base := SolveRequest{Instance: "h"}
+	baseKey, err := key(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var got string
+		found := false
+		for _, c := range candidates[f.Type.Kind()] {
+			r := base
+			reflect.ValueOf(&r).Elem().Field(i).Set(reflect.ValueOf(c).Convert(f.Type))
+			if k, err := key(r); err == nil {
+				got, found = k, true
+				break
 			}
 		}
-		keys[name] = k
-	}
-	// Workers and Wait must NOT change the key.
-	same := norm(SolveRequest{Instance: "h", Workers: 7, Wait: true})
-	if same != keys["base"] {
-		t.Fatalf("workers/wait leaked into the cache key: %s vs %s", same, keys["base"])
+		if !found {
+			t.Fatalf("field %s: no candidate value normalizes; add one", f.Name)
+		}
+		if changed := got != baseKey; changed == perCall[f.Name] {
+			t.Errorf("field %s (per-call %v): key changed = %v\n base %s\n got  %s",
+				f.Name, perCall[f.Name], changed, baseKey, got)
+		}
 	}
 }
 

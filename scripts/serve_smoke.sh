@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # serve-smoke: end-to-end check of the coverd service (the CI target behind
 # `make serve-smoke`). It starts a real coverd daemon on a random port,
-# uploads a hardgen instance through `covercli -server`, solves it remotely,
-# and diffs the output byte for byte against a local in-process
-# SolveSetCover run with identical flags — the determinism-over-the-wire
-# contract. A replay leg requires covercli -replay (load once, serve every
-# pass from a replay plan) to print the same output on SCB1, SCB2 and text
-# copies of the instance. A tracing leg then solves under a known W3C
+# uploads a hardgen instance through `covercli -server`, solves it remotely
+# with every solver and arrival order covercli can reach, and diffs each
+# output byte for byte against a local run with identical flags — the
+# determinism-over-the-wire contract. A replay leg requires covercli
+# -replay (load once, serve every pass from a replay plan) to print the
+# same output on SCB1, SCB2 and text copies of the instance. A tracing leg then solves under a known W3C
 # traceparent and asserts the trace ID surfaces in the access log, the job
-# snapshot and the debug listener's recent-trace list. Finally it checks
-# the daemon shuts down cleanly on SIGTERM.
+# snapshot and the debug listener's recent-trace list. Normalization legs
+# then require -alpha 0 to mean the same locally and remotely and
+# out-of-range -alpha/-eps to exit 2 on both paths. Finally it checks the
+# daemon shuts down cleanly on SIGTERM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,20 +47,23 @@ done
 ADDR="$(cat "$WORK/addr")"
 echo "serve-smoke: coverd is on $ADDR"
 
-# Identical flags, local vs remote, on both local code paths: the default
-# adversarial order (locally file-streamed) and -order random (locally
-# in-memory). covercli mirrors each path's output shape remotely, so both
-# must diff clean.
-for ORDER in adversarial random; do
-	FLAGS=(-in "$WORK/hard.scb" -algo alg1 -alpha 3 -order "$ORDER" -seed 7)
-	"$WORK/covercli" "${FLAGS[@]}" > "$WORK/local.$ORDER.out"
-	"$WORK/covercli" -server "http://$ADDR" "${FLAGS[@]}" > "$WORK/remote.$ORDER.out"
-	if ! diff -u "$WORK/local.$ORDER.out" "$WORK/remote.$ORDER.out"; then
-		echo "serve-smoke: FAIL — remote solve differs from in-process SolveSetCover (-order $ORDER)"
-		exit 1
-	fi
-	echo "serve-smoke: remote output == local output (-order $ORDER):"
-	sed 's/^/  /' "$WORK/remote.$ORDER.out"
+# Identical flags, local vs remote, for every solver covercli can reach
+# and every arrival order. setcover (alg1) in the default adversarial order
+# is locally file-streamed, every other row is solved in memory through the
+# solver catalog; covercli prints both shapes with one printer remotely, so
+# every row must diff clean. No two rows share a cache key.
+for ALGO in alg1 progressive storeall greedy exact; do
+	for ORDER in adversarial random random-each-pass; do
+		FLAGS=(-in "$WORK/hard.scb" -algo "$ALGO" -alpha 3 -order "$ORDER" -seed 7)
+		"$WORK/covercli" "${FLAGS[@]}" > "$WORK/local.$ALGO.$ORDER.out"
+		"$WORK/covercli" -server "http://$ADDR" "${FLAGS[@]}" > "$WORK/remote.$ALGO.$ORDER.out"
+		if ! diff -u "$WORK/local.$ALGO.$ORDER.out" "$WORK/remote.$ALGO.$ORDER.out"; then
+			echo "serve-smoke: FAIL — remote solve differs from the local one (-algo $ALGO -order $ORDER)"
+			exit 1
+		fi
+		echo "serve-smoke: remote output == local output (-algo $ALGO -order $ORDER):"
+		sed 's/^/  /' "$WORK/remote.$ALGO.$ORDER.out"
+	done
 done
 
 # Replay leg: covercli -replay takes coverd's plan path locally; on every
@@ -68,7 +73,7 @@ done
 for FILE in hard.scb hard.scb2 hard.txt; do
 	"$WORK/covercli" -in "$WORK/$FILE" -algo alg1 -alpha 3 -order adversarial -seed 7 -replay \
 		> "$WORK/replay.$FILE.out"
-	if ! diff -u "$WORK/local.adversarial.out" "$WORK/replay.$FILE.out"; then
+	if ! diff -u "$WORK/local.alg1.adversarial.out" "$WORK/replay.$FILE.out"; then
 		echo "serve-smoke: FAIL — covercli -replay on $FILE differs from the honest local run"
 		exit 1
 	fi
@@ -176,6 +181,36 @@ if command -v curl > /dev/null; then
 	}
 	echo "serve-smoke: tracing OK (trace $TRACE_ID in job, access log, lifecycle log, recorder, debug endpoints)"
 fi
+
+# Normalization legs, after the stats check because they upload a second
+# instance: covercli normalizes its flags through the solver catalog before
+# either path, so -alpha 0 selects the catalog's default α on both sides,
+# and an out-of-range -alpha or -eps exits 2 locally and remotely alike,
+# before anything is loaded or uploaded.
+ALPHA0=(-gen planted -n 32768 -m 64 -opt 2 -order random -seed 3 -alpha 0)
+"$WORK/covercli" "${ALPHA0[@]}" > "$WORK/local.alpha0.out"
+"$WORK/covercli" -server "http://$ADDR" "${ALPHA0[@]}" > "$WORK/remote.alpha0.out"
+if ! diff -u "$WORK/local.alpha0.out" "$WORK/remote.alpha0.out"; then
+	echo "serve-smoke: FAIL — -alpha 0 means different things locally and remotely"
+	exit 1
+fi
+echo "serve-smoke: remote output == local output (-alpha 0):"
+sed 's/^/  /' "$WORK/remote.alpha0.out"
+for BAD in "-alpha -1" "-eps 2"; do
+	for SERVER in "" "http://$ADDR"; do
+		STATUS=0
+		# $BAD is deliberately unquoted: it is a flag and its value.
+		# shellcheck disable=SC2086
+		"$WORK/covercli" -server "$SERVER" $BAD -gen planted -n 256 -m 32 \
+			> "$WORK/bad.out" 2>&1 || STATUS=$?
+		if [ "$STATUS" -ne 2 ]; then
+			echo "serve-smoke: FAIL — covercli $BAD (server '$SERVER') exited $STATUS, want 2:"
+			cat "$WORK/bad.out"
+			exit 1
+		fi
+	done
+done
+echo "serve-smoke: out-of-range -alpha/-eps exit 2 locally and remotely"
 
 echo "serve-smoke: asking coverd to shut down"
 kill -TERM "$PID"
