@@ -107,8 +107,9 @@ bench-compare: bench-json
 ## serve-smoke: end-to-end coverd check — start the daemon on a random
 ## port, upload a hardgen instance, solve it remotely with every solver ×
 ## arrival order covercli reaches and diff each against the local run,
-## diff covercli -replay on SCB1, SCB2 and text copies against the honest
-## file-streamed run, verify cache/dedup stats, check the /metrics
+## diff the honest file-streamed run and covercli -replay on SCB1, SCB2 and
+## text copies against it, require both to reject a text copy with its set
+## lines reversed, verify cache/dedup stats, check the /metrics
 ## exposition parses and its counters move across a solve, pin
 ## traceparent propagation end to end (job snapshot, access log, flight
 ## recorder, debug endpoints), require -alpha 0 to match and out-of-range

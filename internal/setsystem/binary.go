@@ -31,10 +31,6 @@ import (
 // binaryMagic identifies binary instance files (version 1).
 const binaryMagic = "SCB1"
 
-// BinaryMagic returns the leading bytes of the binary format, for format
-// sniffing by CLIs and stream openers.
-func BinaryMagic() []byte { return []byte(binaryMagic) }
-
 // WriteBinary encodes the instance in the binary format. The instance must
 // be normalized: sorted, duplicate-free sets with elements in [0, N).
 func WriteBinary(w io.Writer, in *Instance) error {
@@ -86,7 +82,16 @@ func WriteBinary(w io.Writer, in *Instance) error {
 
 // ReadBinary decodes an instance from the binary format and validates it.
 func ReadBinary(r io.Reader) (*Instance, error) {
-	return readBinary(r, remainingBytes(r))
+	remaining := remainingBytes(r)
+	br := bufio.NewReader(r)
+	c, err := Sniff(br)
+	if err == nil && c != CodecSCB1 {
+		err = fmt.Errorf("setsystem: bad binary magic (not an %s file)", binaryMagic)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return decode(br, CodecSCB1, remaining)
 }
 
 // remainingBytes reports how many bytes r still holds, when r can tell: a
@@ -111,116 +116,60 @@ func remainingBytes(r io.Reader) int {
 	return -1
 }
 
-// readBinary is ReadBinary with the input's remaining byte count (-1 when
-// unknown) supplied by the caller, so ReadAuto can measure it before
-// wrapping r in a bufio.Reader.
-func readBinary(r io.Reader, remaining int) (*Instance, error) {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	n, m, lens, err := ReadBinaryHeader(br)
+// readSCB1Header consumes the magic Sniff has reported, the dimensions and
+// the length table.
+func (r *SetReader) readSCB1Header() error {
+	r.br.Discard(len(binaryMagic)) // Sniff peeked it, so it is buffered
+	un, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("setsystem: binary header n: %w", err)
 	}
-	b := NewBuilder(n)
-	total := 0
-	for _, l := range lens {
-		total += int(l)
-	}
-	// The header's total is untrusted until the payload backs it up: a tiny
-	// file can claim a multi-terabyte arena (small m, huge per-set lengths).
-	// Every set and every element costs at least one input byte, so when r
-	// knows its length the reservation is capped by the bytes actually
-	// present; otherwise it is capped at a fixed chunk and append grows with
-	// the varints actually decoded — either way a truncated payload errors
-	// long before the claimed size is ever allocated.
-	limit := readChunkPrealloc
-	if remaining >= 0 {
-		limit = remaining
-	}
-	b.Grow(min(m, limit), min(total, limit))
-	for i := 0; i < m; i++ {
-		prev := int32(-1)
-		for j := int32(0); j < lens[i]; j++ {
-			e, err := decodeElem(br, &prev, j == 0, n)
-			if err != nil {
-				return nil, fmt.Errorf("setsystem: binary set %d: %w", i, err)
-			}
-			b.Append(e)
-		}
-		b.EndSet()
-	}
-	in := b.Build()
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
-// ReadBinaryHeader consumes the magic, dimensions and length table. It is
-// shared with the multi-pass stream.BinaryFileStream, which reads the
-// header once and then decodes the payload set by set with DecodeBinarySet.
-func ReadBinaryHeader(br io.ByteReader) (n, m int, lens []int32, err error) {
-	for i := 0; i < len(binaryMagic); i++ {
-		c, err := br.ReadByte()
-		if err != nil {
-			return 0, 0, nil, fmt.Errorf("setsystem: short binary magic: %w", err)
-		}
-		if c != binaryMagic[i] {
-			return 0, 0, nil, fmt.Errorf("setsystem: bad binary magic (not an %s file)", binaryMagic)
-		}
-	}
-	un, err := binary.ReadUvarint(br)
+	um, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("setsystem: binary header n: %w", err)
+		return fmt.Errorf("setsystem: binary header m: %w", err)
 	}
-	um, err := binary.ReadUvarint(br)
+	utotal, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		return 0, 0, nil, fmt.Errorf("setsystem: binary header m: %w", err)
-	}
-	utotal, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("setsystem: binary header total: %w", err)
+		return fmt.Errorf("setsystem: binary header total: %w", err)
 	}
 	if un > uint64(MaxElement) || um > uint64(MaxElement) {
-		return 0, 0, nil, fmt.Errorf("setsystem: binary header dimensions overflow (n=%d m=%d)", un, um)
+		return fmt.Errorf("setsystem: binary header dimensions overflow (n=%d m=%d)", un, um)
 	}
-	n, m = int(un), int(um)
+	r.n, r.m = int(un), int(um)
 	// m is untrusted: a five-byte header can claim 2^31 sets. Each claimed
 	// length still costs at least one payload byte, so growing the table
 	// with append bounds the allocation by the input actually present
 	// instead of the claim.
-	lens = make([]int32, 0, min(m, readChunkPrealloc))
+	r.lens = make([]int32, 0, min(r.m, readChunkPrealloc))
 	var total uint64
-	for i := 0; i < m; i++ {
-		l, err := binary.ReadUvarint(br)
+	for i := 0; i < r.m; i++ {
+		l, err := binary.ReadUvarint(r.br)
 		if err != nil {
-			return 0, 0, nil, fmt.Errorf("setsystem: binary length table: %w", err)
+			return fmt.Errorf("setsystem: binary length table: %w", err)
 		}
-		if l > uint64(n) {
-			return 0, 0, nil, fmt.Errorf("setsystem: set %d length %d exceeds universe %d", i, l, n)
+		if l > uint64(r.n) {
+			return fmt.Errorf("setsystem: set %d length %d exceeds universe %d", i, l, r.n)
 		}
-		lens = append(lens, int32(l))
+		r.lens = append(r.lens, int32(l))
 		total += l
 	}
 	if total != utotal {
-		return 0, 0, nil, fmt.Errorf("setsystem: length table sums to %d, header says %d", total, utotal)
+		return fmt.Errorf("setsystem: length table sums to %d, header says %d", total, utotal)
 	}
-	return n, m, lens, nil
+	r.total = int(total)
+	return nil
 }
 
-// DecodeBinarySet decodes the next payload set (of the given length, over
-// universe [0, n)) by appending its elements to dst[:0] and returning the
-// extended slice — pass the previous call's return value back in to decode
-// an entire pass with zero steady-state allocations.
-func DecodeBinarySet(br io.ByteReader, dst []int32, length int32, n int) ([]int32, error) {
-	dst = dst[:0]
-	prev := int32(-1)
-	for j := int32(0); j < length; j++ {
+// scb1Set appends the next payload set to dst.
+func (r *SetReader) scb1Set(dst []int32) ([]int32, error) {
+	if r.next == r.m {
+		return dst, io.EOF
+	}
+	br, n, l, prev := r.br, r.n, r.lens[r.next], int32(-1)
+	for j := int32(0); j < l; j++ {
 		e, err := decodeElem(br, &prev, j == 0, n)
 		if err != nil {
-			return dst, err
+			return dst, fmt.Errorf("setsystem: binary set %d: %w", r.next, err)
 		}
 		dst = append(dst, e)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"streamcover/internal/rng"
@@ -13,10 +14,12 @@ import (
 // uniform: arbitrary bytes must either decode into a Validate-clean
 // instance or return an error — never panic, and never allocate
 // proportionally to a header claim instead of the input actually present
-// (the prealloc clamps in binary.go/scb2.go; see the over-claim seeds).
+// (the reservation caps in codec.go/binary.go/scb2.go; see the over-claim
+// seeds).
 //
 // Run the full fuzzers locally with, e.g.:
 //
+//	go test -fuzz FuzzReadText  -fuzztime 30s ./internal/setsystem
 //	go test -fuzz FuzzReadBinary -fuzztime 30s ./internal/setsystem
 //	go test -fuzz FuzzReadSCB2  -fuzztime 30s ./internal/setsystem
 //
@@ -44,6 +47,40 @@ func fuzzSeeds(t *testing.F, encode func(*Instance) []byte) [][]byte {
 		}
 	}
 	return seeds
+}
+
+func FuzzReadText(f *testing.F) {
+	for _, s := range fuzzSeeds(f, func(in *Instance) []byte {
+		var buf bytes.Buffer
+		if err := Write(&buf, in); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}) {
+		f.Add(s)
+	}
+	f.Add([]byte("setcover 1 50000000"))              // over-claim: 5·10^7 sets in 19 bytes
+	f.Add([]byte("setcover 5 2\n1 1\n0 2\n"))         // sets out of id order
+	f.Add([]byte("setcover 4 2\n0 0 1 2 3\n0 0 1\n")) // duplicate id, set 1 missing
+	f.Add([]byte("setcover 3000000000 1\n0 1\n"))     // n beyond the int32 limit
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		in, err := Read(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// Lines, fields and the arena each cost a small multiple of the
+		// bytes they came from; a claim-sized reservation would not fit.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("Read allocated %d bytes on a %d-byte input", alloc, len(data))
+		}
+		if err != nil {
+			return
+		}
+		if verr := in.Validate(); verr != nil {
+			t.Fatalf("Read returned an invalid instance: %v", verr)
+		}
+	})
 }
 
 func FuzzReadBinary(f *testing.F) {

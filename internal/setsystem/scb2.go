@@ -53,10 +53,6 @@ const scb2HeaderSize = 64
 // scb2Align is the required alignment of both sections.
 const scb2Align = 64
 
-// SCB2Magic returns the leading bytes of the SCB2 format, for format
-// sniffing by CLIs, stream openers and the registry.
-func SCB2Magic() []byte { return []byte(scb2Magic) }
-
 // scb2Header is the parsed fixed header.
 type scb2Header struct {
 	n, m, total int

@@ -2,6 +2,8 @@ package setsystem
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -299,6 +301,8 @@ func TestCodecErrors(t *testing.T) {
 		"setcover 5 1\n0 -2\n",     // negative element
 		// int32-overflow element: must be an error, never an arena panic.
 		"setcover 10 1\n0 4000000000\n",
+		"setcover 5 2\n1 1\n0 2\n",     // sets out of id order
+		"setcover 3000000000 1\n0 1\n", // n beyond the CSR layout's int32 limit
 	}
 	for i, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
@@ -313,5 +317,28 @@ func TestCodecErrors(t *testing.T) {
 	}
 	if in.N != 3 || in.M() != 1 {
 		t.Fatalf("comment case parsed wrong: %+v", in)
+	}
+}
+
+// TestReadAutoBoundsTextHeaderClaim pins the text decoder's reservation to
+// the input: a 19-byte header claiming 5·10^7 sets must fail on the sets it
+// lacks without first sizing anything by the claim, whether or not the
+// reader can tell its length (an upload body cannot).
+func TestReadAutoBoundsTextHeaderClaim(t *testing.T) {
+	const header = "setcover 1 50000000"
+	for name, r := range map[string]io.Reader{
+		"known length":   strings.NewReader(header),
+		"unknown length": io.MultiReader(strings.NewReader(header)),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadAuto(r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a header with no sets was accepted", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+			t.Fatalf("%s: ReadAuto allocated %d MB on a %d-byte header", name, got>>20, len(header))
+		}
 	}
 }

@@ -181,7 +181,7 @@ func TestOpenAutoDetectsFormat(t *testing.T) {
 }
 
 // TestBinaryFileStreamNextAllocFree is the allocation-regression guard for
-// the binary data plane: once the decode buffer has warmed up (first pass),
+// the SCB1 data plane: once the decode buffer has warmed up (first pass),
 // Next must not allocate.
 func TestBinaryFileStreamNextAllocFree(t *testing.T) {
 	in := setsystem.Uniform(rng.New(5), 256, 40, 16, 64)
@@ -209,6 +209,6 @@ func TestBinaryFileStreamNextAllocFree(t *testing.T) {
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("BinaryFileStream.Next allocates %.2f objects/op in steady state (%v sets/pass)", allocs, perPass)
+		t.Fatalf("FileStream.Next allocates %.2f objects/op in steady state on SCB1 (%v sets/pass)", allocs, perPass)
 	}
 }

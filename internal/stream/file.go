@@ -3,158 +3,115 @@ package stream
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
-	"slices"
-	"strconv"
-	"strings"
 
 	"streamcover/internal/setsystem"
 )
 
-// FileStream streams a set cover instance from a text-format file (the
-// setsystem codec format) without materializing it: each pass re-reads the
-// file, yielding one set at a time. This keeps the one-item-at-a-time
-// access discipline honest for inputs larger than memory; cmd/covercli uses
-// it for -in files.
+// FileStream streams a text or SCB1 instance file without materializing
+// it: the header is read once at open, then every pass seeks back to set 0
+// and decodes the sets one at a time, in id order, through setsystem's
+// SetReader — the decoder setsystem.Load uses too, so a file streams
+// exactly as it loads. Per pass the stream does one sequential read of the
+// file, and its resident footprint is the header (SCB1's length table)
+// plus one set. This keeps the one-item-at-a-time access discipline honest
+// for inputs larger than memory; cmd/covercli uses it for -in files.
 //
-// Unlike InstanceStream it supports only the adversarial (file) order.
+// Items are views into one reusable decode buffer, so StableItems reports
+// false: the driver's pool copies them before fanning out. Unlike
+// InstanceStream it supports only the adversarial (file) order.
 type FileStream struct {
-	path string
-	n, m int
-
-	f    *os.File
-	sc   *bufio.Scanner
-	seen int
-	err  error
+	path    string
+	f       *os.File
+	br      *bufio.Reader
+	sets    *setsystem.SetReader
+	payload int64 // byte offset of set 0
+	buf     []int32
+	err     error
 }
 
-// OpenFile validates the header of the file and returns a stream over it.
-// The caller must Close it when done.
+// OpenFile reads the header of a text or SCB1 instance file and returns a
+// multi-pass stream over its sets. The caller must Close it when done.
 func OpenFile(path string) (*FileStream, error) {
-	fs := &FileStream{path: path}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	sc := newInstanceScanner(f)
-	n, m, err := readHeader(sc)
-	if err != nil {
+	fail := func(err error) (*FileStream, error) {
+		f.Close()
 		return nil, fmt.Errorf("stream: %s: %w", path, err)
 	}
-	fs.n, fs.m = n, m
-	return fs, nil
+	br := bufio.NewReaderSize(f, 1<<20)
+	codec, err := setsystem.Sniff(br)
+	if err != nil {
+		return fail(err)
+	}
+	sets, err := setsystem.NewSetReader(br, codec)
+	if err != nil {
+		return fail(err)
+	}
+	// br has read ahead of the header; set 0 starts at the first byte it
+	// has not handed out.
+	off, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return fail(err)
+	}
+	return &FileStream{path: path, f: f, br: br, sets: sets, payload: off - int64(br.Buffered())}, nil
 }
 
-func newInstanceScanner(f *os.File) *bufio.Scanner {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	return sc
-}
-
-// readHeader consumes comments/blanks and parses "setcover n m".
-func readHeader(sc *bufio.Scanner) (n, m int, err error) {
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "setcover" {
-			return 0, 0, fmt.Errorf("expected 'setcover <n> <m>' header, got %q", line)
-		}
-		n, err1 := strconv.Atoi(fields[1])
-		m, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil || n < 0 || m < 0 ||
-			n > setsystem.MaxElement || m > setsystem.MaxElement {
-			return 0, 0, fmt.Errorf("bad header values in %q", line)
-		}
-		return n, m, nil
-	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, err
-	}
-	return 0, 0, fmt.Errorf("empty instance file")
-}
+// OpenBinaryFile is OpenFile: the codec is read from the file.
+func OpenBinaryFile(path string) (*FileStream, error) { return OpenFile(path) }
 
 // Universe implements Stream.
-func (fs *FileStream) Universe() int { return fs.n }
+func (fs *FileStream) Universe() int { return fs.sets.Universe() }
 
 // Len implements Stream.
-func (fs *FileStream) Len() int { return fs.m }
+func (fs *FileStream) Len() int { return fs.sets.Len() }
 
-// Reset implements Stream: reopens the file for a new pass.
+// Reset implements Stream: seeks back to set 0 for a new pass. The
+// buffered reader is reused, so Reset allocates nothing.
 func (fs *FileStream) Reset() {
-	if fs.f != nil {
-		fs.f.Close()
-		fs.f = nil
+	if fs.f == nil {
+		fs.err = fmt.Errorf("stream: %s: stream is closed", fs.path)
+		return
 	}
-	f, err := os.Open(fs.path)
-	if err != nil {
+	if _, err := fs.f.Seek(fs.payload, io.SeekStart); err != nil {
 		fs.err = err
 		return
 	}
-	fs.f = f
-	fs.sc = newInstanceScanner(f)
-	if _, _, err := readHeader(fs.sc); err != nil {
-		fs.err = err
-		return
-	}
-	fs.seen = 0
+	fs.br.Reset(fs.f)
+	fs.sets.Rewind()
 	fs.err = nil
 }
 
-// Next implements Stream: parses the next "id e1 e2 ..." line.
+// Next implements Stream: decodes the next set into the reusable buffer.
+// The returned view is valid only until the following Next call.
 func (fs *FileStream) Next() (Item, bool) {
-	if fs.err != nil || fs.sc == nil {
+	if fs.err != nil {
 		return Item{}, false
 	}
-	for fs.sc.Scan() {
-		line := strings.TrimSpace(fs.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		id, err := strconv.Atoi(fields[0])
-		if err != nil || id < 0 || id >= fs.m {
-			fs.err = fmt.Errorf("stream: %s: bad set id %q", fs.path, fields[0])
-			return Item{}, false
-		}
-		elems := make([]int32, 0, len(fields)-1)
-		for _, fstr := range fields[1:] {
-			e, err := strconv.Atoi(fstr)
-			if err != nil || e < 0 || e >= fs.n {
-				fs.err = fmt.Errorf("stream: %s: bad element %q in set %d", fs.path, fstr, id)
-				return Item{}, false
-			}
-			elems = append(elems, int32(e))
-		}
-		// Normalize exactly as the in-memory reader does (ReadInstance runs
-		// SortSets): the sorted/duplicate-free invariant is what every
-		// consumer — scalar loops and word-mask run kernels alike — assumes,
-		// so file-streamed items must match their in-memory twins.
-		if !slices.IsSorted(elems) {
-			slices.Sort(elems)
-		}
-		elems = slices.Compact(elems)
-		fs.seen++
-		return Item{ID: id, Elems: elems}, true
+	id, buf, err := fs.sets.Next(fs.buf[:0])
+	fs.buf = buf
+	switch {
+	case err == io.EOF:
+		return Item{}, false
+	case err != nil:
+		fs.err = fmt.Errorf("stream: %s: %w", fs.path, err)
+		return Item{}, false
 	}
-	if err := fs.sc.Err(); err != nil {
-		fs.err = err
-	} else if fs.seen != fs.m {
-		fs.err = fmt.Errorf("stream: %s: %d of %d sets present", fs.path, fs.seen, fs.m)
-	}
-	return Item{}, false
+	return Item{ID: id, Elems: buf}, true
 }
 
-// Err returns the first error encountered while streaming (Next returning
-// false may mean end-of-pass or error; check Err after the run).
+// Err implements Failer: the first error encountered while streaming (Next
+// returning false may mean end-of-pass or error; drivers check Err after
+// each pass).
 func (fs *FileStream) Err() error { return fs.err }
 
-// StableItems implements Stable: every Item.Elems is freshly allocated per
-// line and never reused.
-func (fs *FileStream) StableItems() bool { return true }
+// StableItems implements Stable: returned Item.Elems alias the stream's
+// reusable decode buffer and are invalidated by the next Next call, so the
+// driver's pool copies items before broadcasting them.
+func (fs *FileStream) StableItems() bool { return false }
 
 // Close releases the underlying file.
 func (fs *FileStream) Close() error {
@@ -164,4 +121,33 @@ func (fs *FileStream) Close() error {
 		return err
 	}
 	return nil
+}
+
+// FileBacked is the interface of the file-backed streams: a resettable
+// multi-pass Stream that can fail mid-pass and must be closed.
+type FileBacked interface {
+	Stream
+	Failer
+	io.Closer
+}
+
+// Open returns a multi-pass stream over an instance file in any codec, as
+// setsystem.Sniff reports it: text and SCB1 stream through FileStream, SCB2
+// opens as an mmap-backed MappedFileStream. A file too short for any
+// codec's magic is rejected as unrecognized. The caller must Close the
+// stream when done.
+func Open(path string) (FileBacked, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	codec, err := setsystem.Sniff(bufio.NewReader(f))
+	f.Close()
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("stream: %s: %w", path, err)
+	case codec == setsystem.CodecSCB2:
+		return OpenMapped(path)
+	}
+	return OpenFile(path)
 }

@@ -151,6 +151,18 @@ func TestFileStreamErrors(t *testing.T) {
 	if fs2.Err() == nil {
 		t.Fatal("missing set not reported")
 	}
+	// Set 0 listed twice and set 1 missing: the k-th set line must name
+	// set k, as setsystem.Load requires.
+	dup := filepath.Join(t.TempDir(), "dup.sc")
+	os.WriteFile(dup, []byte("setcover 4 2\n0 0 1 2 3\n0 0 1\n"), 0o644)
+	fs3, err := OpenFile(dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs3.Close()
+	if _, err := Run(fs3, &countingAlg{passesWanted: 1}, 2); err == nil {
+		t.Fatal("duplicate set id streamed without error")
+	}
 }
 
 // TestFileStreamNormalizesSets pins the sorted/duplicate-free invariant on

@@ -64,8 +64,8 @@ func TestMappedStreamMatchesInstanceStream(t *testing.T) {
 	}
 }
 
-// TestOpenDispatch pins the three-way magic sniff: SCB1 → BinaryFileStream,
-// SCB2 → MappedFileStream, text → FileStream.
+// TestOpenDispatch pins the codec sniff: text and SCB1 → FileStream, SCB2
+// → MappedFileStream.
 func TestOpenDispatch(t *testing.T) {
 	inst := setsystem.FromSets(6, [][]int{{0, 1}, {2, 3}, {4, 5}})
 	dir := t.TempDir()
@@ -91,7 +91,7 @@ func TestOpenDispatch(t *testing.T) {
 		want any
 	}{
 		{tpath, &FileStream{}},
-		{bpath, &BinaryFileStream{}},
+		{bpath, &FileStream{}},
 		{mpath, &MappedFileStream{}},
 	} {
 		s, err := Open(tc.path)

@@ -155,9 +155,9 @@ func TestBuildPlanRejectsMalformedSource(t *testing.T) {
 	}
 }
 
-// TestBuildPlanOverBinaryFileStream covers copy mode: a BinaryFileStream
-// decodes every set into one reusable buffer, so the plan must copy the
-// elements rather than alias them.
+// TestBuildPlanOverBinaryFileStream covers copy mode: a FileStream over an
+// SCB1 file decodes every set into one reusable buffer, so the plan must
+// copy the elements rather than alias them.
 func TestBuildPlanOverBinaryFileStream(t *testing.T) {
 	in := planTestInstance()
 	path := writeTempBinaryInstance(t, in)
@@ -167,7 +167,7 @@ func TestBuildPlanOverBinaryFileStream(t *testing.T) {
 	}
 	defer fs.Close()
 	if stableItems(fs) {
-		t.Fatal("test premise broken: BinaryFileStream should be unstable")
+		t.Fatal("test premise broken: FileStream should be unstable")
 	}
 	plan, err := BuildPlan(fs, 0)
 	if err != nil {

@@ -15,9 +15,10 @@
 //     runs inline on the caller's goroutine at one worker, accounts passes
 //     and the exact peak working space in words, and checks Failer after
 //     every pass so file-backed streams fail loudly;
-//   - file-backed streams for both on-disk codecs (FileStream for text,
-//     BinaryFileStream for binary; Open auto-detects), re-reading the file
-//     every pass so larger-than-memory instances stream honestly;
+//   - file-backed streams for every on-disk codec (FileStream for text and
+//     SCB1 over setsystem's SetReader, MappedFileStream for SCB2; Open
+//     sniffs the codec), re-reading the file every pass so
+//     larger-than-memory instances stream honestly;
 //   - arrival orders: adversarial (as given), a fixed random permutation
 //     (the paper's random arrival model), or a fresh shuffle every pass.
 //

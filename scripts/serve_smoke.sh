@@ -4,9 +4,11 @@
 # uploads a hardgen instance through `covercli -server`, solves it remotely
 # with every solver and arrival order covercli can reach, and diffs each
 # output byte for byte against a local run with identical flags — the
-# determinism-over-the-wire contract. A replay leg requires covercli
-# -replay (load once, serve every pass from a replay plan) to print the
-# same output on SCB1, SCB2 and text copies of the instance. A tracing leg then solves under a known W3C
+# determinism-over-the-wire contract. A codec leg requires the honest
+# file-streamed run and covercli -replay (load once, serve every pass from
+# a replay plan) to print that same output on SCB1, SCB2 and text copies of
+# the instance, and both to reject a text copy whose set lines are out of
+# id order. A tracing leg then solves under a known W3C
 # traceparent and asserts the trace ID surfaces in the access log, the job
 # snapshot and the debug listener's recent-trace list. Normalization legs
 # then require -alpha 0 to mean the same locally and remotely and
@@ -66,19 +68,40 @@ for ALGO in alg1 progressive storeall greedy exact; do
 	done
 done
 
-# Replay leg: covercli -replay takes coverd's plan path locally; on every
-# codec its stdout must equal the honest file-streamed run diffed above.
+# Codec leg: the honest run streams the file through stream.Open and
+# -replay takes coverd's load-and-plan path; on every codec both must print
+# the local output diffed above.
 "$WORK/covercli" -in "$WORK/hard.scb" -convert "$WORK/hard.scb2" -to scb2 > /dev/null
 "$WORK/covercli" -in "$WORK/hard.scb" -convert "$WORK/hard.txt" -to text > /dev/null
 for FILE in hard.scb hard.scb2 hard.txt; do
-	"$WORK/covercli" -in "$WORK/$FILE" -algo alg1 -alpha 3 -order adversarial -seed 7 -replay \
-		> "$WORK/replay.$FILE.out"
-	if ! diff -u "$WORK/local.alg1.adversarial.out" "$WORK/replay.$FILE.out"; then
-		echo "serve-smoke: FAIL — covercli -replay on $FILE differs from the honest local run"
+	for REPLAY in false true; do
+		"$WORK/covercli" -in "$WORK/$FILE" -algo alg1 -alpha 3 -order adversarial -seed 7 -replay="$REPLAY" \
+			> "$WORK/file.$FILE.$REPLAY.out"
+		if ! diff -u "$WORK/local.alg1.adversarial.out" "$WORK/file.$FILE.$REPLAY.out"; then
+			echo "serve-smoke: FAIL — covercli -in $FILE -replay=$REPLAY differs from the local run"
+			exit 1
+		fi
+	done
+done
+echo "serve-smoke: covercli -replay output == honest local output (scb1, scb2, text)"
+echo "serve-smoke: honest file-streamed output == local output (scb1, scb2, text)"
+
+# Text sets are listed in id order: with its set lines reversed the text
+# copy is malformed, and the honest stream and the decoded -replay path must
+# both reject it, naming the misplaced set id.
+awk 'NR == 1 { print; next } { line[NR] = $0 } END { for (i = NR; i > 1; i--) print line[i] }' \
+	"$WORK/hard.txt" > "$WORK/hard.reversed.txt"
+for REPLAY in false true; do
+	STATUS=0
+	"$WORK/covercli" -in "$WORK/hard.reversed.txt" -algo alg1 -alpha 3 -seed 7 -replay="$REPLAY" \
+		> /dev/null 2> "$WORK/reversed.err" || STATUS=$?
+	if [ "$STATUS" -ne 1 ] || ! grep -q 'set id' "$WORK/reversed.err"; then
+		echo "serve-smoke: FAIL — covercli -replay=$REPLAY on reversed text exited $STATUS, want 1 naming a set id:"
+		cat "$WORK/reversed.err"
 		exit 1
 	fi
 done
-echo "serve-smoke: covercli -replay output == honest local output (scb1, scb2, text)"
+echo "serve-smoke: reversed text rejected, naming a set id (honest and -replay)"
 
 # Re-solving the same request must hit the result cache (stats come back
 # as JSON; a crude grep keeps this dependency-free).

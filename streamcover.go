@@ -376,10 +376,10 @@ func GenerateClustered(seed uint64, n, m, clusters, setSize int) *Instance {
 
 // ReadInstance decodes an instance from any on-disk codec, sniffing the
 // leading magic bytes: the text format ("setcover n m" header, then one
-// "id e1 e2 ..." line per set), the SCB1 binary format (magic + header +
-// per-set lengths + varint-delta element payload), or the SCB2 mmap-native
-// format (decoded onto the heap here; use MapInstanceFile for the
-// zero-copy open).
+// "id e1 e2 ..." line per set, listed in id order), the SCB1 binary
+// format (magic + header + per-set lengths + varint-delta element
+// payload), or the SCB2 mmap-native format (decoded onto the heap here;
+// use MapInstanceFile for the zero-copy open).
 func ReadInstance(r io.Reader) (*Instance, error) { return setsystem.ReadAuto(r) }
 
 // WriteInstance encodes an instance in the text format.
