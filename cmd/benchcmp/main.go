@@ -7,12 +7,15 @@
 //	go run ./cmd/benchcmp BENCH_csr.json BENCH_masks.json
 //
 // Output is one row per benchmark present in either file, with the
-// old/new ratio (>1 means the new recording is faster); a benchmark
-// present in only one recording is reported as `removed` (old only) or
-// `new` (new only) rather than silently dropped, so a renamed or deleted
-// benchmark is visible in the delta. The comparison is informational: the
-// exit status is non-zero only for unreadable input, never for
-// regressions, so it can run as a non-blocking CI step.
+// old/new ns/op ratio (>1 means the new recording is faster) and the old
+// and new allocs/op. ns/op compares only between recordings from one box;
+// allocs/op is the same on every box. A recording without -benchmem
+// figures shows "-" for allocs/op. A benchmark present in only one
+// recording is reported as `removed` (old only) or `new` (new only) rather
+// than silently dropped, so a renamed or deleted benchmark is visible in
+// the delta. The comparison is informational: the exit status is non-zero
+// only for unreadable input, never for regressions, so it can run as a
+// non-blocking CI step.
 package main
 
 import (
@@ -37,13 +40,24 @@ type event struct {
 // its numbers can arrive in separate output events, so matching happens on
 // the reassembled text, line by line. The -<P> GOMAXPROCS suffix is folded
 // away so recordings from machines with different core counts compare.
-var benchLine = regexp.MustCompile(`(?m)^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// The rest of the line holds the -benchmem figures when there are any.
+var benchLine = regexp.MustCompile(`(?m)^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(.*)$`)
+
+// memFigure matches one -benchmem figure in the rest of a result line.
+var memFigure = regexp.MustCompile(`([0-9.]+) (B/op|allocs/op)`)
+
+// result is one benchmark's figures. Mem reports that the line carried
+// -benchmem figures; Bytes and Allocs are meaningful only then.
+type result struct {
+	Ns, Bytes, Allocs float64
+	Mem               bool
+}
 
 // load reassembles the output text of a go test -json stream and extracts
-// benchmark name → ns/op. A later duplicate overwrites an earlier one (go
+// benchmark name → figures. A later duplicate overwrites an earlier one (go
 // test repeats a benchmark only when rerun; the last run is the one that
 // counts).
-func load(path string) (map[string]float64, error) {
+func load(path string) (map[string]result, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -64,13 +78,25 @@ func load(path string) (map[string]float64, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	out := map[string]float64{}
+	out := map[string]result{}
 	for _, m := range benchLine.FindAllStringSubmatch(text.String(), -1) {
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
 			continue
 		}
-		out[m[1]] = ns
+		res := result{Ns: ns}
+		for _, f := range memFigure.FindAllStringSubmatch(m[3], -1) {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				continue
+			}
+			if f[2] == "B/op" {
+				res.Bytes = v
+			} else {
+				res.Allocs, res.Mem = v, true
+			}
+		}
+		out[m[1]] = res
 	}
 	return out, nil
 }
@@ -80,13 +106,13 @@ func load(path string) (map[string]float64, error) {
 // old-only and "new" for new-only.
 type row struct {
 	Name     string
-	Old, New float64 // ns/op; meaningful per Status
+	Old, New result // meaningful per Status
 	Status   string
 }
 
 // diff joins two recordings into sorted rows, keeping one-sided benchmarks
 // as removed/new rows instead of dropping them.
-func diff(old, now map[string]float64) []row {
+func diff(old, now map[string]result) []row {
 	names := map[string]bool{}
 	for n := range old {
 		names[n] = true
@@ -117,17 +143,28 @@ func diff(old, now map[string]float64) []row {
 
 // render writes the comparison table.
 func render(w io.Writer, rows []row) {
-	fmt.Fprintf(w, "%-52s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "old/new")
+	fmt.Fprintf(w, "%-52s %14s %14s %9s %13s %13s\n",
+		"benchmark", "old ns/op", "new ns/op", "old/new", "old allocs/op", "new allocs/op")
 	for _, r := range rows {
 		switch r.Status {
 		case "removed":
-			fmt.Fprintf(w, "%-52s %14.0f %14s %9s\n", r.Name, r.Old, "-", "removed")
+			fmt.Fprintf(w, "%-52s %14.0f %14s %9s %13s %13s\n", r.Name, r.Old.Ns, "-", "removed", allocs(r.Old), "-")
 		case "new":
-			fmt.Fprintf(w, "%-52s %14s %14.0f %9s\n", r.Name, "-", r.New, "new")
+			fmt.Fprintf(w, "%-52s %14s %14.0f %9s %13s %13s\n", r.Name, "-", r.New.Ns, "new", "-", allocs(r.New))
 		default:
-			fmt.Fprintf(w, "%-52s %14.0f %14.0f %8.2fx\n", r.Name, r.Old, r.New, r.Old/r.New)
+			fmt.Fprintf(w, "%-52s %14.0f %14.0f %8.2fx %13s %13s\n",
+				r.Name, r.Old.Ns, r.New.Ns, r.Old.Ns/r.New.Ns, allocs(r.Old), allocs(r.New))
 		}
 	}
+}
+
+// allocs renders a recording's allocs/op cell: "-" when its line carried
+// no -benchmem figures.
+func allocs(r result) string {
+	if !r.Mem {
+		return "-"
+	}
+	return strconv.FormatFloat(r.Allocs, 'f', -1, 64)
 }
 
 func main() {

@@ -149,6 +149,29 @@ func (g *Grid) Range(lane int, fn func(e int) bool) {
 	}
 }
 
+// LaneRankElems rewrites every element of elems, in place, to its rank in
+// the lane: the number of lane elements smaller than it. Elements must lie
+// in [0, Cap()). On the lane's own elements this maps its k elements onto
+// [0, k) in order, so an ascending view stays ascending. The rank is a
+// per-word prefix count plus a popcount below the element's bit; the
+// prefix scratch holds one counter per 64 elements of capacity and lives
+// only for the call.
+func (g *Grid) LaneRankElems(lane int, elems []int32) {
+	g.checkLane(lane)
+	words, stride := g.words, g.stride
+	prefix := make([]int32, g.rows)
+	c := int32(0)
+	for w := range prefix {
+		prefix[w] = c
+		c += int32(bits.OnesCount64(words[w*stride+lane]))
+	}
+	for i, e := range elems {
+		w := int(e) / wordBits
+		below := words[w*stride+lane] & (1<<(uint(e)%wordBits) - 1)
+		elems[i] = prefix[w] + int32(bits.OnesCount64(below))
+	}
+}
+
 // CopyLane overwrites the given lane with lane srcLane of src. The grids
 // must have equal capacity; they may differ in lane count (this is how the
 // sieve migrates surviving guesses into a re-shaped grid).

@@ -280,6 +280,57 @@ func TestGridLaneElemKernelsMatchBitset(t *testing.T) {
 
 // TestGridCopyLaneAcrossShapes checks lane migration between grids of
 // different lane counts (the sieve's refresh path).
+// TestGridLaneRankElemsMatchesNaiveCount is the rank helper's property
+// test: on random lanes of every grid shape, the rank LaneRankElems writes
+// for any element of the universe — in the lane or not, in any order —
+// equals a naive count of the lane's elements below it, and the lane's own
+// elements in ascending order rank as 0, 1, 2, ...
+func TestGridLaneRankElemsMatchesNaiveCount(t *testing.T) {
+	r := rng.New(23)
+	for _, shape := range gridShapes {
+		g := NewGrid(shape.n, shape.lanes)
+		for l := 0; l < shape.lanes; l++ {
+			density := r.Float64()
+			for e := 0; e < shape.n; e++ {
+				if r.Bernoulli(density) {
+					g.Set(l, e)
+				}
+			}
+		}
+		for l := 0; l < shape.lanes; l++ {
+			probe := make([]int32, 1+r.Intn(2*shape.n))
+			for i := range probe {
+				probe[i] = int32(r.Intn(shape.n))
+			}
+			// below[e] counts the lane's elements under e, one Has at a time.
+			below := make([]int32, shape.n+1)
+			for x := 0; x < shape.n; x++ {
+				below[x+1] = below[x]
+				if g.Has(l, x) {
+					below[x+1]++
+				}
+			}
+			got := append([]int32(nil), probe...)
+			g.LaneRankElems(l, got)
+			for i, e := range probe {
+				if got[i] != below[e] {
+					t.Fatalf("n=%d lanes=%d lane %d: rank of %d = %d, naive count %d",
+						shape.n, shape.lanes, l, e, got[i], below[e])
+				}
+			}
+
+			var own []int32
+			g.Range(l, func(e int) bool { own = append(own, int32(e)); return true })
+			g.LaneRankElems(l, own)
+			for i, rank := range own {
+				if rank != int32(i) {
+					t.Fatalf("n=%d lanes=%d lane %d: element %d of the lane ranks %d", shape.n, shape.lanes, l, i, rank)
+				}
+			}
+		}
+	}
+}
+
 func TestGridCopyLaneAcrossShapes(t *testing.T) {
 	r := rng.New(3)
 	src, refs := randomGrid(r, 321, 5)

@@ -65,6 +65,13 @@ var table = []Entry{
 				Cover: res.Cover, Guess: res.Guess, Passes: res.Passes, SpaceWords: res.SpaceWords})
 		},
 		run: func(ctx context.Context, inst *streamcover.Instance, r Request, env Env) (Result, error) {
+			// An uncoverable instance fails every guess, but only after the
+			// grid's passes and sub-solves, whose cost grows with n while
+			// the upload can be a few bytes. The O(Σ|S|) check settles it
+			// before the first pass with the error the solve would return.
+			if !inst.Coverable() {
+				return Result{}, streamcover.ErrInfeasible
+			}
 			opts := append(solveOptions(ctx, r, env),
 				streamcover.WithAlpha(r.Alpha), streamcover.WithOptimumHint(r.OptimumHint))
 			if env.Plan != nil {

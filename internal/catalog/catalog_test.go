@@ -2,9 +2,15 @@ package catalog
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+
+	"streamcover"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -98,4 +104,34 @@ func FuzzNormalize(f *testing.F) {
 			t.Fatalf("lambda %g is neither 0 nor > 1", n.Lambda)
 		}
 	})
+}
+
+// TestSetCoverRejectsUncoverableUpload bounds what a tiny upload can buy:
+// 24 bytes name a universe of 2·10^6 elements and one set covering one of
+// them. The setcover entry must fail with ErrInfeasible before the first
+// pass (no pass sample reaches the trace) and allocate far less than the
+// universe's passes and sub-solves would.
+func TestSetCoverRejectsUncoverableUpload(t *testing.T) {
+	inst, err := streamcover.ReadInstance(strings.NewReader("setcover 2000000 1\n0 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := Normalize(Request{Algo: SetCover})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace streamcover.PassTrace
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Run(context.Background(), inst, req, Env{Workers: 1, Trace: &trace})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, streamcover.ErrInfeasible) {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+	if n := trace.Len(); n != 0 {
+		t.Fatalf("%d pass samples traced, want none before rejection", n)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("rejecting the upload allocated %d bytes, want < 4 MB", alloc)
+	}
 }

@@ -192,10 +192,13 @@ type Run struct {
 	// Stored projections, in CSR form mirroring setsystem.Instance: one flat
 	// element arena plus offsets, so the store-pass Observe path appends to
 	// two flat slices (amortized allocation-free) instead of allocating one
-	// slice per projected set.
-	projIDs   []int   // set IDs with non-empty sampled projection
-	projOffs  []int   // offsets into projElems; len(projIDs)+1 when non-empty
-	projElems []int32 // sampled-element IDs, all projections concatenated
+	// slice per projected set. projElems holds the sampled-element IDs, all
+	// projections concatenated, until solveSample rewrites them in place to
+	// their ranks in the sample and hands the arena to the sub-solver as a
+	// CSR view.
+	projIDs   []int // set IDs with non-empty sampled projection
+	projOffs  []int // offsets into projElems; len(projIDs)+1 when non-empty
+	projElems []int32
 	chosen    map[int]bool
 	pending   []int // sub-cover awaiting subtraction
 	sol       []int
@@ -436,6 +439,7 @@ func (g *GridRun) Observe(item stream.Item) {
 				continue
 			}
 			start := len(a.projElems)
+			a.reserve(len(item.Elems))
 			a.projElems = g.usmpl.LaneAndRunsAppend(lane, a.projElems, runs)
 			if len(a.projElems) > start {
 				a.projIDs = append(a.projIDs, item.ID)
@@ -495,6 +499,7 @@ func (g *GridRun) lanePrune(lane int, item stream.Item) {
 func (g *GridRun) laneStore(lane int, item stream.Item) {
 	a := g.runs[lane]
 	start := len(a.projElems)
+	a.reserve(len(item.Elems))
 	if item.Runs != nil {
 		a.projElems = g.usmpl.LaneAndRunsAppend(lane, a.projElems, item.Runs)
 	} else {
@@ -503,6 +508,16 @@ func (g *GridRun) laneStore(lane int, item stream.Item) {
 	if len(a.projElems) > start {
 		a.projIDs = append(a.projIDs, item.ID)
 		a.projOffs = append(a.projOffs, len(a.projElems))
+	}
+}
+
+// reserve makes room in the projection arena for the k elements an item
+// can project at most, before an append kernel runs. A growing arena at
+// least doubles: append alone grows a large slice by about 1.25×, which
+// copies the arena about four times its final size over a store pass.
+func (a *Run) reserve(k int) {
+	if len(a.projElems)+k > cap(a.projElems) {
+		a.projElems = slices.Grow(a.projElems, max(k, 2*cap(a.projElems)-len(a.projElems)))
 	}
 }
 
@@ -586,22 +601,13 @@ func (a *Run) solveSample() {
 		// Nothing sampled (tiny U or p rounding): the iteration is a no-op.
 		return
 	}
-	// Remap sampled elements to a compact universe [0, usmplCnt).
-	remap := make(map[int32]int32, a.usmplCnt)
-	a.g.usmpl.Range(a.lane, func(e int) bool {
-		remap[int32(e)] = int32(len(remap))
-		return true
-	})
-	// Build the sub-instance straight from the flat projection arena.
-	sb := setsystem.NewBuilder(a.usmplCnt)
-	sb.Grow(len(a.projIDs), len(a.projElems))
-	for i := range a.projIDs {
-		for _, e := range a.projElems[a.projOffs[i]:a.projOffs[i+1]] {
-			sb.Append(remap[e])
-		}
-		slices.Sort(sb.EndSet())
-	}
-	sub := sb.Build()
+	// Compact the sampled universe to [0, usmplCnt) by ranking every stored
+	// element within the lane's sample, in place: ranks are monotone, so
+	// each projection stays sorted. Nothing reads the global IDs after this
+	// (the subtract pass uses chosen; Space reads only lengths), and the
+	// sub-instance is a zero-copy view of the rewritten arena.
+	a.g.usmpl.LaneRankElems(a.lane, a.projElems)
+	sub := setsystem.CSRView(a.usmplCnt, a.projOffs, a.projElems)
 
 	var picked []int
 	switch a.cfg.Subsolver {

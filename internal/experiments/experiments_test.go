@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,7 +62,13 @@ func TestTrimFloat(t *testing.T) {
 	}
 }
 
-// runQuick runs an experiment in quick mode and does generic validation.
+// runQuick runs an experiment in quick mode, does generic validation, and
+// compares the rendered table with its golden, testdata/quick/<id>.md —
+// the output of `go run ./cmd/tradeoff -exp <id> -quick -seed 1234`
+// without the trailing newline. The tables are the same at every worker
+// count and under every grid-kernel body, so any difference is a changed
+// result. A missing golden fails too: there is no update flag, and a
+// golden is re-recorded only by a change meant to alter its table.
 func runQuick(t *testing.T, id string) *Table {
 	t.Helper()
 	tb, err := Run(id, Config{Seed: 1234, Quick: true})
@@ -74,6 +82,13 @@ func runQuick(t *testing.T, id string) *Table {
 		if len(row) != len(tb.Columns) {
 			t.Fatalf("%s: row width %d != %d columns", id, len(row), len(tb.Columns))
 		}
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "quick", id+".md"))
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	if got := tb.Markdown(); got != string(golden) {
+		t.Errorf("%s: quick table differs from testdata/quick/%s.md\n got:\n%s\nwant:\n%s", id, id, got, golden)
 	}
 	return tb
 }

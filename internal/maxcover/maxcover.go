@@ -139,15 +139,10 @@ func (a *SampledKCover) Observe(item stream.Item) {
 	}
 }
 
-// EndPass implements stream.PassAlgorithm: solves the sampled instance,
-// built straight from the flat projection arena.
+// EndPass implements stream.PassAlgorithm: solves the sampled instance, a
+// zero-copy view of the flat projection arena.
 func (a *SampledKCover) EndPass() bool {
-	sb := setsystem.NewBuilder(len(a.sample))
-	sb.Grow(len(a.projIDs), len(a.projElems))
-	for i := range a.projIDs {
-		sb.AddSet32(a.projElems[a.projOffs[i]:a.projOffs[i+1]])
-	}
-	sub := sb.Build()
+	sub := setsystem.CSRView(len(a.sample), a.projOffs, a.projElems)
 	var picked []int
 	if a.cfg.Exact {
 		chosen, _, err := offline.MaxCoverExact(sub, a.cfg.K,

@@ -10,7 +10,6 @@
 package offline
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -50,23 +49,26 @@ var ErrBudget = errors.New("offline: exact search exceeded its node budget")
 // It implements lazy (heap-based) evaluation, so the running time is
 // O(Σ|S_i| log m) rather than O(opt·m·n).
 func Greedy(in *setsystem.Instance) ([]int, error) {
-	return greedyOn(nil, in, nil)
+	return greedyOn(nil, in, nil, nil)
 }
 
 // GreedyContext is Greedy with cancellation: the selection loop polls ctx
 // periodically and returns ctx.Err() once it is done. A nil ctx never
 // cancels.
 func GreedyContext(ctx context.Context, in *setsystem.Instance) ([]int, error) {
-	return greedyOn(ctx, in, nil)
+	return greedyOn(ctx, in, nil, nil)
 }
 
 // GreedyOn runs greedy covering only the target elements (nil means the full
 // universe). It returns ErrInfeasible if the target cannot be covered.
 func GreedyOn(in *setsystem.Instance, target *bitset.Bitset) ([]int, error) {
-	return greedyOn(nil, in, target)
+	return greedyOn(nil, in, nil, target)
 }
 
-func greedyOn(ctx context.Context, in *setsystem.Instance, target *bitset.Bitset) ([]int, error) {
+// greedyOn is the lazy greedy behind every entry point. sets are the
+// instance's set bitsets when the caller already built them (CoverAtMost
+// shares one build with its search); nil builds them here.
+func greedyOn(ctx context.Context, in *setsystem.Instance, sets []*bitset.Bitset, target *bitset.Bitset) ([]int, error) {
 	if err := pollCtx(ctx); err != nil {
 		return nil, err
 	}
@@ -81,14 +83,16 @@ func greedyOn(ctx context.Context, in *setsystem.Instance, target *bitset.Bitset
 		return nil, nil
 	}
 
-	sets := in.Bitsets()
-	h := &gainHeap{}
+	if sets == nil {
+		sets = in.Bitsets()
+	}
+	h := make(gainHeap, 0, len(sets))
 	for i, s := range sets {
-		g := s.AndCount(uncovered)
-		if g > 0 {
-			heap.Push(h, gainEntry{set: i, gain: g})
+		if g := s.AndCount(uncovered); g > 0 {
+			h = append(h, gainEntry{set: i, gain: g})
 		}
 	}
+	h.init()
 
 	var cover []int
 	pops := 0
@@ -98,17 +102,17 @@ func greedyOn(ctx context.Context, in *setsystem.Instance, target *bitset.Bitset
 				return nil, err
 			}
 		}
-		if h.Len() == 0 {
+		if len(h) == 0 {
 			return nil, ErrInfeasible
 		}
-		top := heap.Pop(h).(gainEntry)
+		top := h.pop()
 		// Lazy re-evaluation: the stored gain may be stale.
 		g := sets[top.set].AndCount(uncovered)
 		if g == 0 {
 			continue
 		}
-		if h.Len() > 0 && g < (*h)[0].gain {
-			heap.Push(h, gainEntry{set: top.set, gain: g})
+		if len(h) > 0 && g < h[0].gain {
+			h.push(gainEntry{set: top.set, gain: g})
 			continue
 		}
 		cover = append(cover, top.set)
@@ -120,25 +124,67 @@ func greedyOn(ctx context.Context, in *setsystem.Instance, target *bitset.Bitset
 
 type gainEntry struct{ set, gain int }
 
-// gainHeap is a max-heap on gain, tie-breaking toward lower set index so
-// greedy is deterministic.
+// gainHeap is a binary max-heap on gain, tie-breaking toward lower set
+// index, over unboxed entries. Each set is in the heap at most once, so
+// the order is strict and total: the pop sequence, and with it greedy's
+// pick order, does not depend on how the heap arranges its entries.
 type gainHeap []gainEntry
 
-func (h gainHeap) Len() int { return len(h) }
-func (h gainHeap) Less(i, j int) bool {
+// before reports whether entry i pops before entry j.
+func (h gainHeap) before(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
 	}
 	return h[i].set < h[j].set
 }
-func (h gainHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x any)   { *h = append(*h, x.(gainEntry)) }
-func (h *gainHeap) Pop() any {
+
+// init establishes the heap order over the entries in O(len).
+func (h gainHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *gainHeap) push(e gainEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+func (h *gainHeap) pop() gainEntry {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	top, last := old[0], len(old)-1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return top
+}
+
+func (h gainHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.before(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h gainHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && h.before(r, j) {
+			j = r
+		}
+		if !h.before(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // ExactConfig controls the branch-and-bound search.
@@ -173,16 +219,26 @@ func CoverAtMost(in *setsystem.Instance, k int, cfg ExactConfig) (cover []int, o
 	if err := pollCtx(cfg.Context); err != nil {
 		return nil, false, err
 	}
+	// Volume certificate: k sets of at most max|S| elements each cannot
+	// cover N > k·max|S| elements. This is the search root's own volume
+	// test, taken before anything is built, so a too-small guess costs
+	// O(m) and no allocation. A budget below one node skips it: the search
+	// root must still report ErrBudget.
+	if in.N > 0 && budget >= 1 && k < lowerBound(in) {
+		return nil, false, nil
+	}
+	// One bitset build serves the greedy bound and the search.
+	sets := in.Bitsets()
 	// Greedy-first: any cover of size ≤ k certifies "yes" — only when greedy
 	// overshoots must the exhaustive search decide. This keeps generous-k
 	// queries (Algorithm 1's per-iteration sub-solves) polynomial in
 	// practice while preserving completeness.
-	if g, gerr := greedyOn(cfg.Context, in, nil); gerr == nil && len(g) <= k {
+	if g, gerr := greedyOn(cfg.Context, in, sets, nil); gerr == nil && len(g) <= k {
 		return g, true, nil
 	} else if gerr != nil && gerr != ErrInfeasible {
 		return nil, false, gerr
 	}
-	s := newSearcher(in, budget)
+	s := newSearcher(in, sets, budget)
 	s.ctx = cfg.Context
 	uncovered := bitset.New(in.N)
 	uncovered.Fill()
@@ -220,7 +276,7 @@ func Exact(in *setsystem.Instance, cfg ExactConfig) ([]int, error) {
 }
 
 func exactOn(in *setsystem.Instance, cfg ExactConfig) ([]int, error) {
-	greedy, err := greedyOn(cfg.Context, in, nil)
+	greedy, err := greedyOn(cfg.Context, in, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -303,8 +359,10 @@ type searcher struct {
 	scratch []*bitset.Bitset
 }
 
-func newSearcher(in *setsystem.Instance, budget int64) *searcher {
-	s := &searcher{in: in, sets: in.Bitsets(), budget: budget}
+// newSearcher indexes the instance for dfs. sets are its set bitsets
+// (Instance.Bitsets), which the searcher reads but never writes.
+func newSearcher(in *setsystem.Instance, sets []*bitset.Bitset, budget int64) *searcher {
+	s := &searcher{in: in, sets: sets, budget: budget}
 	s.occOffs = make([]int32, in.N+1)
 	for i := 0; i < in.M(); i++ {
 		set := in.Set(i)

@@ -66,6 +66,20 @@ func FromSets(n int, sets [][]int) *Instance {
 	return b.Build()
 }
 
+// CSRView returns the instance over [0, n) whose set i is
+// elems[offsets[i]:offsets[i+1]], aliasing both slices: nothing is copied,
+// so the caller must leave them unchanged while the instance is in use.
+// offsets is empty (no sets) or starts at 0 and never decreases; elements
+// past its last offset are not part of the instance. Like FromSets, the
+// view is not normalized or range-checked.
+func CSRView(n int, offsets []int, elems []int32) *Instance {
+	end := 0
+	if len(offsets) > 0 {
+		end = offsets[len(offsets)-1]
+	}
+	return &Instance{N: n, offsets: offsets, elems: elems[:end]}
+}
+
 // M returns the number of sets.
 func (in *Instance) M() int {
 	if len(in.offsets) == 0 {
@@ -118,13 +132,14 @@ func (in *Instance) Bitset(i int) *bitset.Bitset {
 	return b
 }
 
-// Bitsets materializes every set as a bitset, straight from the arena. The
-// result is O(m·n/64) words; intended for offline solvers and verification,
-// not streaming code.
+// Bitsets materializes every set as a bitset, straight from the arena,
+// into one word arena (bitset.NewArena): a constant number of allocations
+// for any m. The result is O(m·n/64) words; intended for offline solvers
+// and verification, not streaming code.
 func (in *Instance) Bitsets() []*bitset.Bitset {
-	out := make([]*bitset.Bitset, in.M())
-	for i := range out {
-		out[i] = in.Bitset(i)
+	out := bitset.NewArena(in.N, in.M())
+	for i, b := range out {
+		b.SetAll(in.Set(i))
 	}
 	return out
 }
