@@ -1,5 +1,7 @@
 # Development targets, kept in lockstep with .github/workflows/ci.yml:
-# `make ci` runs exactly the checks CI runs.
+# `make ci` runs exactly the checks CI runs, except the kernels job's AVX2
+# leg (a GOAMD64=v3 build, which needs a v3 CPU to run and so stays
+# CI-only).
 
 GO ?= go
 
@@ -46,7 +48,7 @@ REPLAY_BENCH_BASELINE ?= BENCH_replay_base.json
 OBS_BENCH_PATTERN ?= BenchmarkSolveTracing
 OBS_BENCH_JSON ?= BENCH_obs.json
 
-.PHONY: all fmt fmt-check vet build test perfbench-check bench bench-json bench-compare serve-smoke import-smoke ci
+.PHONY: all fmt fmt-check vet build test test-scalar perfbench-check bench bench-json bench-compare serve-smoke import-smoke ci
 
 all: build
 
@@ -70,6 +72,12 @@ build:
 ## test: full test suite under the race detector
 test:
 	$(GO) test -race ./...
+
+## test-scalar: the kernels job's scalar leg — the race suite on a
+## baseline x86-64 build with the SIMD grid kernel switched off, so the
+## conformance matrix checks the scalar kernel body end to end
+test-scalar:
+	GOAMD64=v1 STREAMCOVER_KERNEL=scalar $(GO) test -race ./...
 
 ## perfbench-check: vet and test the nested perfbench module, which the
 ## root ./... patterns skip although it calls the driver and solver APIs
@@ -125,4 +133,4 @@ import-smoke:
 	bash scripts/import_smoke.sh
 
 ## ci: the full CI sequence, locally
-ci: fmt-check vet build test perfbench-check bench bench-json bench-compare serve-smoke import-smoke
+ci: fmt-check vet build test test-scalar perfbench-check bench bench-json bench-compare serve-smoke import-smoke

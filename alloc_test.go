@@ -34,3 +34,19 @@ func TestSolveSetCoverAllocCeilings(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildReplayPlanAllocsFlatInM pins the presized plan arenas: building
+// a plan costs a fixed number of allocations whatever the set count.
+func TestBuildReplayPlanAllocsFlatInM(t *testing.T) {
+	allocs := func(m int) float64 {
+		inst, _ := GeneratePlanted(1, 4096, m, 4)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := BuildReplayPlan(inst); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(128), allocs(2048); large > small {
+		t.Fatalf("BuildReplayPlan allocs grow with m: %.0f at m=128, %.0f at m=2048", small, large)
+	}
+}

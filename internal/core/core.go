@@ -114,12 +114,15 @@ type Config struct {
 	// completes with the usual bit-identical result or returns ctx.Err().
 	Context context.Context
 	// Plan, when non-nil, is a pass-replay recording of the instance
-	// (stream.BuildPlan): Solve serves every item's payload — elements and
-	// prebuilt run list — from the plan while the instance stream still
-	// drives arrival order, so replay is bit-identical under every Order
-	// including RandomEachPass. A serving optimization only: plan bytes are
-	// accounted by the owner (the coverd registry), never in the returned
-	// Accounting, and the experiments harness leaves it nil.
+	// (stream.BuildPlan), which Solve does not check: the caller must have
+	// recorded it from the very instance it solves, as
+	// streamcover.SolveSetCover enforces. Solve serves every item's
+	// payload — elements and prebuilt run list — from the plan while the
+	// instance stream still drives arrival order, so replay is
+	// bit-identical under every Order including RandomEachPass. A serving
+	// optimization only: plan bytes are accounted by the owner (the coverd
+	// registry), never in the returned Accounting, and the experiments
+	// harness leaves it nil.
 	Plan *stream.Plan
 	// Trace, when non-nil, receives one stream.PassSample per completed
 	// pass from the pass driver. Sampling happens only at pass boundaries
@@ -239,7 +242,7 @@ const (
 // RNG, decisions, and Space contribution are exactly those of a standalone
 // Run, so any partition of a guess grid into groups — including the
 // per-worker partition NewSolver picks — is bit-identical to per-guess runs
-// (the masks_parity goldens pin this).
+// (the conformance matrix's goldens pin this).
 type GridRun struct {
 	cfg  Config
 	n, m int
@@ -834,11 +837,6 @@ func (s *Solver) Groups() []*GridRun { return s.groups }
 func Solve(inst *setsystem.Instance, order stream.Order, cfg Config, r *rng.RNG) (Result, stream.Accounting, error) {
 	s := stream.FromInstance(inst, order, r.Split("stream-order"))
 	if cfg.Plan != nil {
-		if cfg.Plan.Universe() != inst.N || cfg.Plan.Len() != inst.M() {
-			return Result{}, stream.Accounting{}, fmt.Errorf(
-				"core: replay plan shape (n=%d, m=%d) does not match instance (n=%d, m=%d)",
-				cfg.Plan.Universe(), cfg.Plan.Len(), inst.N, inst.M())
-		}
 		// The instance stream still draws the arrival permutation (so the
 		// RNG discipline and every Order behave exactly as an honest solve);
 		// only the per-item payload comes from the plan.

@@ -80,3 +80,23 @@ func TestCoverAtMostAllocsFlatInM(t *testing.T) {
 		t.Fatalf("volume-rejected CoverAtMost allocates %.0f objects", allocs)
 	}
 }
+
+// TestExactAllocsBuildOnce pins iterative deepening to one build: Exact
+// asks CoverAtMost for every k from the lower bound (5) to the optimum
+// (10) on the exact golden instance, and those queries share one set-bitset
+// arena, one greedy run and one occurrence index. Rebuilding them per k
+// cost 373 allocations.
+func TestExactAllocsBuildOnce(t *testing.T) {
+	inst := setsystem.Uniform(rng.New(9), 64, 48, 6, 14)
+	if g, _ := Greedy(inst); len(g) != 11 {
+		t.Fatalf("workload drifted: greedy found %d sets, want 11 (the search must run)", len(g))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if cover, err := Exact(inst, ExactConfig{}); err != nil || len(cover) != 10 {
+			t.Fatalf("Exact = %v, %v; want an optimum of 10 sets", cover, err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("Exact allocates %.0f objects, want <= 200", allocs)
+	}
+}

@@ -209,14 +209,42 @@ const defaultNodeBudget = 50_000_000
 // ok=true if one exists, ok=false if provably none exists within size k, and
 // ErrBudget if the node budget ran out before deciding.
 func CoverAtMost(in *setsystem.Instance, k int, cfg ExactConfig) (cover []int, ok bool, err error) {
+	d := deepener{in: in, cfg: cfg}
+	return d.coverAtMost(k)
+}
+
+// deepener answers CoverAtMost for one instance at any number of k, as
+// iterative deepening asks it: the set bitsets, the greedy bound and the
+// search index are built at most once, on the first k that needs them.
+// Every k still polls the context on entry and searches on a fresh node
+// budget, exactly as a separate CoverAtMost call would.
+type deepener struct {
+	in     *setsystem.Instance
+	cfg    ExactConfig
+	sets   []*bitset.Bitset // nil until first needed
+	greedy []int
+	gerr   error
+	s      *searcher // nil until a k greedy cannot settle
+}
+
+// bound builds the set bitsets and runs greedy over them, once.
+func (d *deepener) bound() ([]int, error) {
+	if d.sets == nil {
+		d.sets = d.in.Bitsets()
+		d.greedy, d.gerr = greedyOn(d.cfg.Context, d.in, d.sets, nil)
+	}
+	return d.greedy, d.gerr
+}
+
+func (d *deepener) coverAtMost(k int) ([]int, bool, error) {
 	if k < 0 {
 		return nil, false, nil
 	}
-	budget := cfg.NodeBudget
+	budget := d.cfg.NodeBudget
 	if budget == 0 {
 		budget = defaultNodeBudget
 	}
-	if err := pollCtx(cfg.Context); err != nil {
+	if err := pollCtx(d.cfg.Context); err != nil {
 		return nil, false, err
 	}
 	// Volume certificate: k sets of at most max|S| elements each cannot
@@ -224,36 +252,36 @@ func CoverAtMost(in *setsystem.Instance, k int, cfg ExactConfig) (cover []int, o
 	// test, taken before anything is built, so a too-small guess costs
 	// O(m) and no allocation. A budget below one node skips it: the search
 	// root must still report ErrBudget.
-	if in.N > 0 && budget >= 1 && k < lowerBound(in) {
+	if d.in.N > 0 && budget >= 1 && k < lowerBound(d.in) {
 		return nil, false, nil
 	}
-	// One bitset build serves the greedy bound and the search.
-	sets := in.Bitsets()
 	// Greedy-first: any cover of size ≤ k certifies "yes" — only when greedy
 	// overshoots must the exhaustive search decide. This keeps generous-k
 	// queries (Algorithm 1's per-iteration sub-solves) polynomial in
 	// practice while preserving completeness.
-	if g, gerr := greedyOn(cfg.Context, in, sets, nil); gerr == nil && len(g) <= k {
+	if g, gerr := d.bound(); gerr == nil && len(g) <= k {
 		return g, true, nil
 	} else if gerr != nil && gerr != ErrInfeasible {
 		return nil, false, gerr
 	}
-	s := newSearcher(in, sets, budget)
-	s.ctx = cfg.Context
-	uncovered := bitset.New(in.N)
+	if d.s == nil {
+		d.s = newSearcher(d.in, d.sets, budget)
+		d.s.ctx = d.cfg.Context
+	}
+	uncovered := bitset.New(d.in.N)
 	uncovered.Fill()
 	if uncovered.Empty() {
 		return nil, true, nil
 	}
-	found, err := s.search(uncovered, k)
+	d.s.nodes = 0
+	found, err := d.s.search(uncovered, k)
 	if err != nil {
 		return nil, false, err
 	}
 	if !found {
 		return nil, false, nil
 	}
-	out := append([]int(nil), s.best...)
-	return out, true, nil
+	return append([]int(nil), d.s.best...), true, nil
 }
 
 // Exact computes an optimal set cover by iterative deepening over the cover
@@ -276,7 +304,8 @@ func Exact(in *setsystem.Instance, cfg ExactConfig) ([]int, error) {
 }
 
 func exactOn(in *setsystem.Instance, cfg ExactConfig) ([]int, error) {
-	greedy, err := greedyOn(cfg.Context, in, nil, nil)
+	d := deepener{in: in, cfg: cfg}
+	greedy, err := d.bound()
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +314,7 @@ func exactOn(in *setsystem.Instance, cfg ExactConfig) ([]int, error) {
 		upper = cfg.MaxSize
 	}
 	for k := lowerBound(in); k <= upper; k++ {
-		cover, ok, err := CoverAtMost(in, k, cfg)
+		cover, ok, err := d.coverAtMost(k)
 		if err != nil {
 			return nil, err
 		}
@@ -305,8 +334,9 @@ func exactOn(in *setsystem.Instance, cfg ExactConfig) ([]int, error) {
 // otherwise. This is the primitive the hard-instance experiments need
 // (Lemma 3.2 checks opt > 2α without computing opt exactly).
 func OptAtMost(in *setsystem.Instance, k int, cfg ExactConfig) (int, error) {
+	d := deepener{in: in, cfg: cfg}
 	for size := 0; size <= k; size++ {
-		_, ok, err := CoverAtMost(in, size, cfg)
+		_, ok, err := d.coverAtMost(size)
 		if err != nil {
 			return 0, err
 		}

@@ -29,7 +29,8 @@
 // sound — Results returns bit-identical covers, pass counts and space
 // accounting whether computed or cached, and a coverd answer equals the
 // corresponding local solve exactly (pinned by TestWireDeterminism,
-// TestCatalogConformance and the serve-smoke CI target).
+// TestCatalogConformance, the remote column of the root package's
+// conformance matrix and the serve-smoke CI target).
 //
 // # Cancellation
 //
@@ -148,8 +149,8 @@ type Config struct {
 	// algorithm) and serves all later
 	// passes — of that job and every subsequent one on the instance — from
 	// it. Replay never changes results (bit-identical by construction and
-	// by the replay-parity tests); plan bytes are charged to the registry
-	// budget and reported as plan_bytes in /v1/stats.
+	// by the conformance matrix's replay column); plan bytes are charged
+	// to the registry budget and reported as plan_bytes in /v1/stats.
 	DisableReplay bool
 	// Metrics, when non-nil, is the obs registry the scheduler registers
 	// its instrument families on (job counters, queue/running gauges, job

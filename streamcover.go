@@ -47,6 +47,7 @@ package streamcover
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
@@ -174,6 +175,7 @@ func WithParallelism(p int) Option { return func(o *options) { o.workers = p } }
 // concurrent solves of the same instance.
 type ReplayPlan struct {
 	plan *stream.Plan
+	inst *Instance // the instance the plan was recorded from
 }
 
 // BuildReplayPlan records inst once and returns a plan usable by any
@@ -183,7 +185,7 @@ func BuildReplayPlan(inst *Instance) (*ReplayPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ReplayPlan{plan: p}, nil
+	return &ReplayPlan{plan: p, inst: inst}, nil
 }
 
 // Bytes returns the accounted size of the plan in bytes (run lists plus
@@ -193,8 +195,9 @@ func (p *ReplayPlan) Bytes() int64 { return p.plan.Bytes() }
 
 // WithReplayPlan serves every pass's item payloads from a prebuilt plan
 // instead of re-deriving them (see ReplayPlan). The plan must have been
-// built from the same instance passed to SolveSetCover; a mismatched plan
-// fails the solve. nil is allowed and means no replay.
+// built from the very *Instance passed to SolveSetCover; a plan built from
+// any other instance, even one of the same shape or content, fails the
+// solve. nil is allowed and means no replay.
 func WithReplayPlan(p *ReplayPlan) Option { return func(o *options) { o.plan = p } }
 
 // PassSample is one pass of a traced solve: index, wall time, items
@@ -241,6 +244,9 @@ func SolveSetCover(inst *Instance, opts ...Option) (SetCoverResult, error) {
 	}
 	cfg := core.Config{Alpha: o.alpha, Epsilon: o.eps, SampleC: o.sampleC, Workers: o.workers, Context: o.ctx, Trace: o.trace}
 	if o.plan != nil {
+		if o.plan.inst != inst {
+			return SetCoverResult{}, errors.New("streamcover: replay plan was built from another instance")
+		}
 		cfg.Plan = o.plan.plan
 	}
 	if o.greedySub {

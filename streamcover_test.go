@@ -2,6 +2,8 @@ package streamcover
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -185,5 +187,59 @@ func TestProjectAndMergeWrappers(t *testing.T) {
 	}
 	if err := Validate(merged); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadInstanceAutoBinary checks the public decode path sniffs the
+// binary magic (covercli's -in handling rides on this).
+func TestReadInstanceAutoBinary(t *testing.T) {
+	inst := GenerateUniform(5, 128, 30, 4, 40)
+	path := filepath.Join(t.TempDir(), "inst.scb")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteInstanceBinary(f, inst); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	rf, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	got, err := ReadInstance(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != inst.N || got.M() != inst.M() || got.TotalElems() != inst.TotalElems() {
+		t.Fatalf("auto-decoded instance differs: %d/%d/%d vs %d/%d/%d",
+			got.N, got.M(), got.TotalElems(), inst.N, inst.M(), inst.TotalElems())
+	}
+	for i := 0; i < inst.M(); i++ {
+		a, b := got.Set(i), inst.Set(i)
+		for j := range b {
+			if a[j] != b[j] {
+				t.Fatalf("set %d differs", i)
+			}
+		}
+	}
+}
+
+// TestReplayPlanFromAnotherInstanceFails: a replay plan serves only the
+// instance it was recorded from. A plan of another instance of the same
+// shape would otherwise replay that instance's sets and return its cover.
+func TestReplayPlanFromAnotherInstanceFails(t *testing.T) {
+	a, _ := GeneratePlanted(1, 256, 64, 4)
+	b, _ := GeneratePlanted(2, 256, 64, 4)
+	plan, err := BuildReplayPlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := SolveSetCover(b, WithReplayPlan(plan)); err == nil {
+		t.Fatalf("solving b from a's plan returned %v (a cover of b: %v), want an error", res, b.IsCover(res.Cover))
+	}
+	if _, err := SolveSetCover(a, WithReplayPlan(plan)); err != nil {
+		t.Fatalf("solving a from its own plan: %v", err)
 	}
 }
