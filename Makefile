@@ -117,11 +117,13 @@ bench-compare: bench-json
 ## arrival order covercli reaches and diff each against the local run,
 ## diff the honest file-streamed run and covercli -replay on SCB1, SCB2 and
 ## text copies against it, require both to reject a text copy with its set
-## lines reversed, verify cache/dedup stats, check the /metrics
-## exposition parses and its counters move across a solve, pin
-## traceparent propagation end to end (job snapshot, access log, flight
-## recorder, debug endpoints), require -alpha 0 to match and out-of-range
-## -alpha/-eps to exit 2 on both paths, and confirm a clean SIGTERM shutdown
+## lines reversed, require covercli -trace to keep stdout and print the
+## same pass record locally (-replay) and remotely, verify cache/dedup
+## stats, check the /metrics exposition parses and its counters move
+## across a solve, pin traceparent propagation end to end (job snapshot
+## and its one pass record, access log, flight recorder, debug
+## endpoints), require -alpha 0 to match and out-of-range -alpha/-eps to
+## exit 2 on both paths, and confirm a clean SIGTERM shutdown
 serve-smoke:
 	bash scripts/serve_smoke.sh
 

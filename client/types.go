@@ -96,9 +96,11 @@ func (s JobStatus) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
 
-// PassTrace is one pass of a job's solve timeline: the paper's cost model
-// (passes × space) as observed by the driver. The trace grows while the job
-// runs — a ?watch=1 stream re-emits the job snapshot as passes complete.
+// PassTrace is one pass of a solve's timeline: the paper's cost model
+// (passes × space) as observed by the pass driver. It is the one wire form
+// of a pass: coverd sends it only in Job.Trace, which grows while the job
+// runs (a ?watch=1 stream re-emits the job snapshot as passes complete),
+// and covercli -trace prints it for local and remote solves alike.
 type PassTrace struct {
 	// Pass is the 0-based pass index.
 	Pass int `json:"pass"`
@@ -119,10 +121,11 @@ type PassTrace struct {
 }
 
 // SolveTrace is the observability record of one solve: the per-pass
-// timeline plus the grid-kernel body the solve dispatched to.
+// timeline plus the grid-kernel body the solve dispatched to. It is
+// recorded whether or not request tracing is on.
 type SolveTrace struct {
-	// Kernel is the bitset grid kernel body ("avx2", "scalar") the server
-	// dispatched for this job's solve.
+	// Kernel is the bitset grid kernel body ("avx2", "scalar") the solve
+	// dispatched to; empty for solvers that sweep no guess grid.
 	Kernel string `json:"kernel,omitempty"`
 	// Passes is the per-pass timeline, in pass order.
 	Passes []PassTrace `json:"passes"`
@@ -150,17 +153,9 @@ type Job struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// TraceEvent is a point-in-time annotation within a recorded span. coverd
-// emits one per completed solve pass, carrying the paper's per-pass cost
-// model (pass index, items, space words, replayed).
-type TraceEvent struct {
-	Name  string         `json:"name"`
-	Time  time.Time      `json:"time"`
-	Attrs map[string]any `json:"attrs,omitempty"`
-}
-
 // TraceSpan is one node of a recorded span tree: a timed operation with
-// attributes, events, and nested child spans.
+// attributes and nested child spans. A solve's passes are not in the tree;
+// they are the job's Trace.
 type TraceSpan struct {
 	SpanID string `json:"span_id"`
 	// Parent is the parent span's ID; for the server's root span of a
@@ -171,7 +166,6 @@ type TraceSpan struct {
 	Start           time.Time      `json:"start"`
 	DurationSeconds float64        `json:"duration_seconds"`
 	Attrs           map[string]any `json:"attrs,omitempty"`
-	Events          []TraceEvent   `json:"events,omitempty"`
 	Children        []TraceSpan    `json:"children,omitempty"`
 }
 

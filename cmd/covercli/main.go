@@ -44,7 +44,6 @@ import (
 
 	"streamcover"
 	"streamcover/client"
-	"streamcover/internal/bitset"
 	"streamcover/internal/buildinfo"
 	"streamcover/internal/catalog"
 	"streamcover/internal/core"
@@ -99,18 +98,15 @@ func main() {
 	fileStreamed := *in != "" && req.Algo == catalog.SetCover &&
 		catalog.StreamOrder(req.Order) == streamcover.Adversarial
 	env := catalog.Env{Workers: req.Workers}
-	var log *passLog
+	var rec *stream.Trace
 	if *trace {
-		log = &passLog{}
-		if e.Grid {
-			log.Kernel = bitset.GridKernel() // as coverd reports it
-		}
-		env.Trace = log
+		rec = &stream.Trace{}
+		env.Trace = rec
 	}
-	st := (*client.SolveTrace)(log)
 	var (
 		inst *streamcover.Instance
 		res  client.SolveResult
+		st   *client.SolveTrace // the remote job's trace
 		sc   obstrace.SpanContext
 	)
 	if fileStreamed && !*replay && *server == "" {
@@ -143,6 +139,9 @@ func main() {
 		verify(inst, res.Cover, fileStreamed)
 	}
 	if *trace {
+		if *server == "" {
+			st = e.Trace(rec)
+		}
 		printTrace(e, st)
 		if *server != "" {
 			printRemoteSpanTree(client.New(*server), sc.TraceID.String())
@@ -216,29 +215,18 @@ func solveRemote(ctx context.Context, c *client.Client, inst *streamcover.Instan
 	return *job.Result, job.Trace
 }
 
-// passLog is -trace's sink for a local solve: it collects the passes in
-// the wire form a remote job reports, so one printer renders both.
-type passLog client.SolveTrace
-
-// TracePass implements streamcover.TraceSink.
-func (l *passLog) TracePass(s streamcover.PassSample) {
-	l.Passes = append(l.Passes, client.PassTrace{
-		Pass: s.Pass, DurationSeconds: s.Duration.Seconds(), Items: s.Items,
-		SpaceWords: s.SpaceWords, PeakSpaceWords: s.PeakSpace, Live: s.Live, Replayed: s.Replayed,
-	})
-}
-
 // printTrace prints a solve's timeline on stderr, one line per pass, for
-// local and remote solves alike; stdout is untouched.
+// local and remote solves alike (both in the wire form catalog's
+// Entry.Trace makes); stdout is untouched.
 func printTrace(e *catalog.Entry, st *client.SolveTrace) {
 	switch {
 	case !e.Streams:
 		fmt.Fprintln(os.Stderr, "trace: offline algorithm, no stream passes")
 		return
 	case st == nil:
-		// A cached result carries no trace: the server never re-ran the
-		// passes, so there is no timeline to report.
-		fmt.Fprintln(os.Stderr, "trace: server returned no per-pass trace (result-cache hit?)")
+		// A cached remote result carries no trace: the server never re-ran
+		// the passes, so there is no timeline to report.
+		fmt.Fprintln(os.Stderr, "trace: no per-pass trace (no pass ran, or the server answered from its result cache)")
 		return
 	}
 	if st.Kernel != "" {
@@ -290,7 +278,7 @@ func printRemoteSpanTree(c *client.Client, traceID string) {
 }
 
 // printSpans renders one level of the span tree, children indented under
-// parents: name, duration, sorted attributes, and an event tally.
+// parents: name, duration and sorted attributes.
 func printSpans(spans []client.TraceSpan, depth int) {
 	for _, s := range spans {
 		line := fmt.Sprintf("trace: %s%s %s", strings.Repeat("  ", depth), s.Name,
@@ -306,9 +294,6 @@ func printSpans(spans []client.TraceSpan, depth int) {
 				parts[i] = fmt.Sprintf("%s=%v", k, s.Attrs[k])
 			}
 			line += " (" + strings.Join(parts, " ") + ")"
-		}
-		if len(s.Events) > 0 {
-			line += fmt.Sprintf(" [%d events]", len(s.Events))
 		}
 		fmt.Fprintln(os.Stderr, line)
 		printSpans(s.Children, depth+1)

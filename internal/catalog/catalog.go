@@ -3,12 +3,13 @@
 // says whether it streams passes and whether it sweeps the õpt-guess grid,
 // renders the one-line summary covercli prints, and runs the solve.
 //
-// Callers use the table through Normalize, Key and Run. coverd's scheduler
-// normalizes and keys every request at admission and runs it through Run;
-// covercli normalizes its flags into the same request and either calls Run
-// or sends the request to coverd. A request therefore means the same thing
-// on both sides, and a served result equals a local one by construction.
-// Adding a solver is adding an entry here.
+// Callers use the table through Normalize, Key, Run and Entry.Trace.
+// coverd's scheduler normalizes and keys every request at admission and runs
+// it through Run; covercli normalizes its flags into the same request and
+// either calls Run or sends the request to coverd. Both turn a solve's
+// recorded passes into the wire trace with Entry.Trace. A request therefore
+// means the same thing on both sides, and a served result equals a local
+// one by construction. Adding a solver is adding an entry here.
 package catalog
 
 import (
@@ -20,6 +21,7 @@ import (
 	"streamcover"
 	"streamcover/client"
 	"streamcover/internal/baselines"
+	"streamcover/internal/bitset"
 	"streamcover/internal/rng"
 	"streamcover/internal/stream"
 )
@@ -264,6 +266,28 @@ func Run(ctx context.Context, inst *streamcover.Instance, r Request, env Env) (R
 		return Result{}, fmt.Errorf("unknown algo %q", r.Algo)
 	}
 	return e.run(ctx, inst, r, env)
+}
+
+// Trace is the one conversion of a solve's recorded passes to their wire
+// form, for coverd's job snapshots and covercli -trace alike. It stamps the
+// dispatched grid-kernel body when the entry sweeps the guess grid, and
+// returns nil before the first pass completes.
+func (e *Entry) Trace(rec *stream.Trace) *client.SolveTrace {
+	samples := rec.Samples()
+	if len(samples) == 0 {
+		return nil
+	}
+	st := &client.SolveTrace{Passes: make([]client.PassTrace, len(samples))}
+	if e.Grid {
+		st.Kernel = bitset.GridKernel()
+	}
+	for i, s := range samples {
+		st.Passes[i] = client.PassTrace{
+			Pass: s.Pass, DurationSeconds: s.Duration.Seconds(), Items: s.Items,
+			SpaceWords: s.SpaceWords, PeakSpaceWords: s.PeakSpace, Live: s.Live, Replayed: s.Replayed,
+		}
+	}
+	return st
 }
 
 // solveOptions are the options SolveSetCover and SolveMaxCoverage share.

@@ -9,8 +9,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"streamcover"
+	"streamcover/client"
+	"streamcover/internal/bitset"
+	"streamcover/internal/stream"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -133,5 +137,37 @@ func TestSetCoverRejectsUncoverableUpload(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
 		t.Fatalf("rejecting the upload allocated %d bytes, want < 4 MB", alloc)
+	}
+}
+
+// TestEntryTrace pins the one conversion of recorded passes to the wire
+// trace: nil before the first pass, every sample field carried over in
+// pass order, and the grid kernel stamped only for entries that sweep the
+// guess grid.
+func TestEntryTrace(t *testing.T) {
+	var rec stream.Trace
+	if st := Lookup(SetCover).Trace(&rec); st != nil {
+		t.Fatalf("trace before the first pass = %+v, want nil", st)
+	}
+	rec.TracePass(stream.PassSample{Pass: 0, Duration: 1500 * time.Millisecond, Items: 7,
+		SpaceWords: 40, PeakSpace: 40, Live: 3})
+	rec.TracePass(stream.PassSample{Pass: 1, Items: 7, SpaceWords: 25, PeakSpace: 40, Live: 0, Replayed: true})
+	want := []client.PassTrace{
+		{Pass: 0, DurationSeconds: 1.5, Items: 7, SpaceWords: 40, PeakSpaceWords: 40, Live: 3},
+		{Pass: 1, Items: 7, SpaceWords: 25, PeakSpaceWords: 40, Live: 0, Replayed: true},
+	}
+	for _, algo := range Algos {
+		e := Lookup(algo)
+		st := e.Trace(&rec)
+		if !slices.Equal(st.Passes, want) {
+			t.Fatalf("%s: passes = %+v, want %+v", algo, st.Passes, want)
+		}
+		wantKernel := ""
+		if e.Grid {
+			wantKernel = bitset.GridKernel()
+		}
+		if st.Kernel != wantKernel {
+			t.Fatalf("%s: kernel = %q, want %q", algo, st.Kernel, wantKernel)
+		}
 	}
 }

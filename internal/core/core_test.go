@@ -76,23 +76,6 @@ func TestSolvePlanted(t *testing.T) {
 	}
 }
 
-func TestSolveDeterministic(t *testing.T) {
-	inst, _ := setsystem.PlantedCover(rng.New(3), 512, 100, 3, 0.5)
-	r1, _, err1 := Solve(inst, stream.Adversarial, Config{Alpha: 2}, rng.New(5))
-	r2, _, err2 := Solve(inst, stream.Adversarial, Config{Alpha: 2}, rng.New(5))
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if len(r1.Cover) != len(r2.Cover) {
-		t.Fatalf("non-deterministic: %v vs %v", r1.Cover, r2.Cover)
-	}
-	for i := range r1.Cover {
-		if r1.Cover[i] != r2.Cover[i] {
-			t.Fatalf("non-deterministic: %v vs %v", r1.Cover, r2.Cover)
-		}
-	}
-}
-
 func TestSolveInfeasible(t *testing.T) {
 	inst := setsystem.FromSets(10, [][]int{{0, 1}, {2, 3}})
 	_, _, err := Solve(inst, stream.Adversarial, Config{Alpha: 2}, rng.New(1))

@@ -16,8 +16,9 @@
 //     (in file order), items the universe (remapped to 0..n-1 in sorted
 //     id order) — cover all items with the fewest transactions.
 //   - DIMACS graph files: "p edge <nodes> <edges>" then 1-based "e u v"
-//     lines. The same vertex-cover reduction as SNAP, with the declared
-//     node count fixing m (isolated nodes become empty sets).
+//     lines. The same vertex-cover reduction as SNAP, remapped the same
+//     way: the sets are the nodes that occur in an edge, so isolated
+//     nodes (and a problem line's node count) cost nothing.
 //
 // Import returns a normalized, validated Instance plus a Meta describing
 // both the produced instance and the source shape. Every importer is
@@ -29,6 +30,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 
 	"streamcover/internal/setsystem"
 )
@@ -139,15 +141,41 @@ func newLineScanner(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
+// rank maps each distinct id to its position in sorted order: the dense
+// remap every importer applies to source ids, so that the instance's size
+// follows the ids that occur and never the largest one.
+func rank(ids map[int]struct{}) map[int]int {
+	sorted := make([]int, 0, len(ids))
+	for id := range ids {
+		sorted = append(sorted, id)
+	}
+	slices.Sort(sorted)
+	index := make(map[int]int, len(sorted))
+	for i, id := range sorted {
+		index[id] = i
+	}
+	return index
+}
+
 // incidenceInstance builds the vertex-cover-as-set-cover instance shared
 // by the graph importers: universe = the edges (numbered in input order),
-// set i = the edges incident to node i. Each endpoint pair indexes nodes
-// in [0, nodes); self-loops contribute their element once. Because edge
-// ids increase in input order, every incident list comes out sorted and
-// duplicate-free by construction.
-func incidenceInstance(nodes int, edges [][2]int) *setsystem.Instance {
-	deg := make([]int, nodes)
+// one set per node that occurs in an edge, in node-id order, holding the
+// edges incident to that node. Self-loops contribute their element once.
+// Because edge ids increase in input order, every incident list comes out
+// sorted and duplicate-free by construction. The endpoints in edges are
+// rewritten to set indices.
+func incidenceInstance(edges [][2]int) *setsystem.Instance {
+	ids := make(map[int]struct{})
 	for _, e := range edges {
+		ids[e[0]] = struct{}{}
+		ids[e[1]] = struct{}{}
+	}
+	index := rank(ids)
+	nodes := len(index)
+	deg := make([]int, nodes)
+	for i, e := range edges {
+		e = [2]int{index[e[0]], index[e[1]]}
+		edges[i] = e
 		deg[e[0]]++
 		if e[1] != e[0] {
 			deg[e[1]]++

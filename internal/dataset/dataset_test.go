@@ -1,9 +1,11 @@
 package dataset
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -97,6 +99,19 @@ func TestImportDIMACS(t *testing.T) {
 	if meta.Nodes != 5 || meta.Edges != 7 || meta.N != 7 || meta.M != 5 {
 		t.Fatalf("dimacs meta = %+v", meta)
 	}
+
+	// Isolated nodes get no set, as in SNAP; Meta.Nodes keeps the
+	// declared count.
+	in, meta, err := Import(strings.NewReader("p edge 6 2\ne 5 2\ne 6 5\n"), DIMACS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int32{{0}, {0, 1}, {1}}; !reflect.DeepEqual(sets(in), want) { // nodes 2, 5, 6
+		t.Fatalf("dimacs sets with isolated nodes = %v, want %v", sets(in), want)
+	}
+	if meta.Nodes != 6 || meta.Edges != 2 || meta.N != 2 || meta.M != 3 {
+		t.Fatalf("dimacs meta with isolated nodes = %+v", meta)
+	}
 }
 
 // TestImportDeterminism pins that importing the same bytes twice yields
@@ -150,4 +165,41 @@ func TestParseFormat(t *testing.T) {
 	if _, err := ParseFormat("csv"); err == nil {
 		t.Fatal("ParseFormat accepted an unknown format")
 	}
+}
+
+// FuzzImport feeds arbitrary bytes to every importer. Each must return a
+// valid instance or an error, never panic, and allocate at most a constant
+// times the input it was given: a header's claim (DIMACS's node count) or
+// a large id (SNAP nodes, FIMI items) must not size anything. The fixed
+// term is the line scanner's 1 MiB buffer.
+//
+//	go test -fuzz FuzzImport -fuzztime 30s ./internal/dataset
+func FuzzImport(f *testing.F) {
+	for _, format := range []Format{SNAP, FIMI, DIMACS} {
+		data, err := os.ReadFile(filepath.Join("testdata", "tiny."+format.String()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(format), data)
+	}
+	f.Add(uint8(DIMACS), []byte("p edge 10000000 0\n"))                   // 18 bytes claiming 10^7 nodes
+	f.Add(uint8(DIMACS), []byte("p edge 1000000000 1\ne 1 1000000000\n")) // the two extreme nodes
+	f.Add(uint8(SNAP), []byte("0 9223372036854775807\n"))                 // the largest node id
+	f.Add(uint8(FIMI), []byte("9223372036854775807 0\n"))                 // the largest item id
+
+	f.Fuzz(func(t *testing.T, format uint8, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		in, _, err := Import(bytes.NewReader(data), Format(format%3))
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 256*uint64(len(data))+2<<20 {
+			t.Fatalf("Import(%v) allocated %d bytes on a %d-byte input", Format(format%3), alloc, len(data))
+		}
+		if err != nil {
+			return
+		}
+		if verr := in.Validate(); verr != nil {
+			t.Fatalf("Import returned an invalid instance: %v", verr)
+		}
+	})
 }

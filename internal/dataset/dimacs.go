@@ -11,11 +11,14 @@ import (
 
 // importDIMACS parses a DIMACS graph file: 'c' comment lines, one
 // 'p <format> <nodes> <edges>' problem line, then 1-based 'e u v' edge
-// lines. The declared node count fixes the set count (isolated nodes
-// become empty sets, harmless to a cover); the edge count must match the
-// edges actually present — a mismatch means a truncated or corrupted file
-// and is an error, not a warning. The <format> word (edge, col, ...) is
-// not interpreted.
+// lines. Endpoints must lie in [1, nodes]. The sets are the nodes that
+// occur in an edge, in node order, as SNAP's remap makes them: an isolated
+// node would be an empty set, useless to a cover, and sizing anything by
+// the declared node count would let an 18-byte problem line claim
+// gigabytes. Meta.Nodes still reports the declared count. The edge count
+// must match the edges actually present — a mismatch means a truncated or
+// corrupted file and is an error, not a warning. The <format> word (edge,
+// col, ...) is not interpreted.
 func importDIMACS(r io.Reader) (*setsystem.Instance, Meta, error) {
 	sc := newLineScanner(r)
 	var edges [][2]int
@@ -69,6 +72,6 @@ func importDIMACS(r io.Reader) (*setsystem.Instance, Meta, error) {
 		return nil, Meta{}, fmt.Errorf("dataset: dimacs: problem line declares %d edges, file has %d",
 			declaredEdges, len(edges))
 	}
-	in := incidenceInstance(nodes, edges)
+	in := incidenceInstance(edges)
 	return in, Meta{Nodes: nodes, Edges: len(edges)}, nil
 }

@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -44,17 +43,8 @@ func importFIMI(r io.Reader) (*setsystem.Instance, Meta, error) {
 		return nil, Meta{}, fmt.Errorf("dataset: fimi: %w", err)
 	}
 
-	sorted := make([]int, 0, len(ids))
-	for id := range ids {
-		sorted = append(sorted, id)
-	}
-	slices.Sort(sorted)
-	index := make(map[int]int, len(sorted))
-	for i, id := range sorted {
-		index[id] = i
-	}
-
-	b := setsystem.NewBuilder(len(sorted))
+	index := rank(ids)
+	b := setsystem.NewBuilder(len(index))
 	total := 0
 	for _, tx := range transactions {
 		total += len(tx)
@@ -68,5 +58,5 @@ func importFIMI(r io.Reader) (*setsystem.Instance, Meta, error) {
 	}
 	// Duplicate items within a transaction are legal input; Import's
 	// SortSets pass normalizes them away.
-	return b.Build(), Meta{Transactions: len(transactions), Items: len(sorted)}, nil
+	return b.Build(), Meta{Transactions: len(transactions), Items: len(index)}, nil
 }

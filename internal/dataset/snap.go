@@ -3,7 +3,6 @@ package dataset
 import (
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -19,7 +18,6 @@ import (
 func importSNAP(r io.Reader) (*setsystem.Instance, Meta, error) {
 	sc := newLineScanner(r)
 	var edges [][2]int
-	ids := map[int]struct{}{}
 	line := 0
 	for sc.Scan() {
 		line++
@@ -37,26 +35,10 @@ func importSNAP(r io.Reader) (*setsystem.Instance, Meta, error) {
 			return nil, Meta{}, fmt.Errorf("dataset: snap line %d: bad node pair %q", line, text)
 		}
 		edges = append(edges, [2]int{u, v})
-		ids[u] = struct{}{}
-		ids[v] = struct{}{}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, Meta{}, fmt.Errorf("dataset: snap: %w", err)
 	}
-
-	sorted := make([]int, 0, len(ids))
-	for id := range ids {
-		sorted = append(sorted, id)
-	}
-	slices.Sort(sorted)
-	index := make(map[int]int, len(sorted))
-	for i, id := range sorted {
-		index[id] = i
-	}
-	for i := range edges {
-		edges[i][0] = index[edges[i][0]]
-		edges[i][1] = index[edges[i][1]]
-	}
-	in := incidenceInstance(len(sorted), edges)
-	return in, Meta{Nodes: len(sorted), Edges: len(edges)}, nil
+	in := incidenceInstance(edges)
+	return in, Meta{Nodes: in.M(), Edges: len(edges)}, nil
 }

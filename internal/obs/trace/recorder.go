@@ -26,7 +26,6 @@ type SpanData struct {
 	Start  time.Time
 	End    time.Time
 	Attrs  []Attr
-	Events []Event
 }
 
 // Duration is the span's wall time.
@@ -140,7 +139,6 @@ func (a *active) finish(sp *Span, end time.Time) {
 			Start:  sp.start,
 			End:    end,
 			Attrs:  sp.attrs,
-			Events: sp.events,
 		})
 	}
 	a.open--

@@ -5,12 +5,13 @@
 //
 // The package is dependency-free for the same reason internal/obs is: the
 // quantities that matter here — where one slow request spent its time
-// across queue wait, registry pin, plan build and the solve passes — are a
+// across queue wait, registry pin, plan build and the solve — are a
 // handful of timestamps and small attribute sets per request, and they do
-// not need an exporter pipeline. Completed traces land in a bounded ring
-// buffer (the flight recorder, see recorder.go) that retains the last N
-// traces for postmortem inspection via coverd's debug endpoints; nothing is
-// shipped anywhere.
+// not need an exporter pipeline. A solve's passes are not on any span: they
+// travel once, in the job's pass trace (client.SolveTrace). Completed
+// traces land in a bounded ring buffer (the flight recorder, see
+// recorder.go) that retains the last N traces for postmortem inspection
+// via coverd's debug endpoints; nothing is shipped anywhere.
 //
 // # Identity and propagation
 //
@@ -118,35 +119,12 @@ type SpanContext struct {
 // Valid reports whether both IDs are non-zero (the W3C validity rule).
 func (sc SpanContext) Valid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.IsZero() }
 
-// Attr is one key/value annotation on a span or event. Value is kept as
-// `any` for JSON rendering but is always a string, integer, float or bool
-// in practice (the typed Span setters enforce this).
+// Attr is one key/value annotation on a span. Value is kept as `any` for
+// JSON rendering but is always a string, integer or bool in practice (the
+// typed Span setters enforce this).
 type Attr struct {
 	Key   string `json:"key"`
 	Value any    `json:"value"`
-}
-
-// String builds a string attribute.
-func String(key, value string) Attr { return Attr{Key: key, Value: value} }
-
-// Int builds an integer attribute.
-func Int(key string, value int) Attr { return Attr{Key: key, Value: value} }
-
-// Int64 builds a 64-bit integer attribute.
-func Int64(key string, value int64) Attr { return Attr{Key: key, Value: value} }
-
-// Float64 builds a float attribute.
-func Float64(key string, value float64) Attr { return Attr{Key: key, Value: value} }
-
-// Bool builds a boolean attribute.
-func Bool(key string, value bool) Attr { return Attr{Key: key, Value: value} }
-
-// Event is a point-in-time annotation within a span — coverd uses one per
-// completed solve pass, so a trace stays O(passes), never O(items).
-type Event struct {
-	Name  string    `json:"name"`
-	Time  time.Time `json:"time"`
-	Attrs []Attr    `json:"attrs,omitempty"`
 }
 
 // Span is one timed operation within a trace. Spans are created by
@@ -154,10 +132,10 @@ type Event struct {
 // the span to its trace's accumulator, and the trace commits to the flight
 // recorder when its last open span ends. A nil *Span is a valid no-op.
 //
-// A span belongs to the goroutine that started it; SetAttr/AddEvent/End
-// are nonetheless safe to call concurrently (they serialize on the owning
-// trace's lock) because the solve driver appends pass events while request
-// handlers snapshot state.
+// A span belongs to the goroutine that started it; the setters and End are
+// nonetheless safe to call concurrently (they serialize on the owning
+// trace's lock), because a job span is started by the submitting request
+// and annotated and ended by the worker that runs the job.
 type Span struct {
 	t      *active
 	sc     SpanContext
@@ -166,9 +144,8 @@ type Span struct {
 	start  time.Time
 
 	// Guarded by t.mu.
-	attrs  []Attr
-	events []Event
-	ended  bool
+	attrs []Attr
+	ended bool
 }
 
 // Context returns the span's propagated identity, or the zero SpanContext
@@ -225,21 +202,6 @@ func (s *Span) attach(a Attr) {
 	s.t.mu.Lock()
 	if !s.ended {
 		s.attrs = append(s.attrs, a)
-	}
-	s.t.mu.Unlock()
-}
-
-// AddEvent records a point-in-time event on the span. The attrs slice is
-// retained; callers building attrs should gate on Recording() to keep the
-// disabled path allocation-free.
-func (s *Span) AddEvent(name string, attrs ...Attr) {
-	if s == nil {
-		return
-	}
-	now := time.Now()
-	s.t.mu.Lock()
-	if !s.ended {
-		s.events = append(s.events, Event{Name: name, Time: now, Attrs: attrs})
 	}
 	s.t.mu.Unlock()
 }

@@ -42,8 +42,6 @@ func TestTracerRecordsTree(t *testing.T) {
 	root.SetAttr("route", "POST /v1/solve")
 	ctx2, child := StartSpan(ctx, "solve")
 	child.SetInt("alpha", 3)
-	child.AddEvent("pass", Int("pass", 0), Int("items", 24))
-	child.AddEvent("pass", Int("pass", 1), Int("items", 24))
 	_, grand := StartSpan(ctx2, "pin")
 	grand.End()
 	child.End()
@@ -72,8 +70,8 @@ func TestTracerRecordsTree(t *testing.T) {
 	if pinRec.Parent != solveRec.SpanID {
 		t.Fatalf("pin parent = %s, want solve %s", pinRec.Parent, solveRec.SpanID)
 	}
-	if len(solveRec.Events) != 2 || solveRec.Events[0].Name != "pass" {
-		t.Fatalf("solve events = %+v, want two pass events", solveRec.Events)
+	if len(solveRec.Attrs) != 1 || solveRec.Attrs[0] != (Attr{Key: "alpha", Value: 3}) {
+		t.Fatalf("solve attrs = %+v, want alpha=3", solveRec.Attrs)
 	}
 	if len(rootRec.Attrs) != 1 || rootRec.Attrs[0].Key != "route" {
 		t.Fatalf("root attrs = %+v", rootRec.Attrs)
@@ -184,9 +182,8 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 	// Mutations after End must not land.
 	sp.SetAttr("late", "x")
-	sp.AddEvent("late")
 	rec, _ = tr.Lookup(root.Context().TraceID)
-	if got := find(t, rec, "child"); len(got.Attrs) != 0 || len(got.Events) != 0 {
+	if got := find(t, rec, "child"); len(got.Attrs) != 0 {
 		t.Fatalf("post-End mutations recorded: %+v", got)
 	}
 }
@@ -202,9 +199,6 @@ func TestSpanDisabledPathAllocs(t *testing.T) {
 		sp.SetAttr("k", "v")
 		sp.SetInt("n", 42)
 		sp.SetBool("b", true)
-		if sp.Recording() {
-			sp.AddEvent("pass", Int("pass", 0))
-		}
 		sp.End()
 		_, sp2 := StartSpan(c, "child")
 		sp2.End()
@@ -233,7 +227,7 @@ func TestConcurrentSpans(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 50; j++ {
 				_, sp := StartSpan(ctx, "w")
-				sp.AddEvent("e", Int("j", j))
+				sp.SetInt("j", j)
 				sp.End()
 			}
 		}()

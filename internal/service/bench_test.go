@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"streamcover"
-	"streamcover/client"
+	"streamcover/internal/obs"
 	"streamcover/internal/obs/trace"
 	"streamcover/internal/registry"
 	"streamcover/internal/stream"
@@ -13,9 +13,10 @@ import (
 
 // BenchmarkSolveTracing measures the request-tracing plane's cost on a full
 // scheduler solve: identical jobs with the flight recorder attached (root
-// span, scheduler child spans, one event per pass) and with tracing off
-// (the nil chain). The recorded delta is the plane's whole overhead —
-// BENCH_obs.json tracks it across PRs.
+// span and the scheduler's child spans; passes are recorded in the job's
+// trace either way, never on a span) and with tracing off (the nil chain).
+// The recorded delta is the plane's whole overhead — BENCH_obs.json tracks
+// it across PRs.
 func BenchmarkSolveTracing(b *testing.B) {
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
@@ -57,19 +58,19 @@ func BenchmarkSolveTracing(b *testing.B) {
 }
 
 // TestTracingDisabledHotPathAllocs guards the zero-perturbation contract at
-// the service layer: with no span attached (tracing off), the per-pass
-// bridge must not allocate — the pass slice is the only append, and it is
-// pre-grown here so any allocation the test sees comes from the tracing
-// path. The trace package pins the same property for the span API itself.
+// the service layer: the per-pass feed (the job's pass record plus the live
+// pass histogram and replayed counter) must not allocate per pass. The
+// record's append is the only growth, and the record is reset to its
+// capacity each run, so any allocation the test sees comes from the feed.
+// The trace package pins the same property for the span API itself.
 func TestTracingDisabledHotPathAllocs(t *testing.T) {
-	rec := newTraceRecorder(nil, false)
-	rec.passes = make([]client.PassTrace, 0, 8)
-	sample := stream.PassSample{Pass: 1, Items: 100, SpaceWords: 64, Live: -1}
+	feed := &passFeed{m: newSchedMetrics(obs.NewRegistry(), &Scheduler{})}
+	sample := stream.PassSample{Pass: 1, Items: 100, SpaceWords: 64, Live: -1, Replayed: true}
 	allocs := testing.AllocsPerRun(200, func() {
-		rec.passes = rec.passes[:0]
-		rec.TracePass(sample)
+		feed.Reset()
+		feed.TracePass(sample)
 	})
 	if allocs != 0 {
-		t.Fatalf("untraced TracePass allocates %.1f times per pass, want 0", allocs)
+		t.Fatalf("the pass feed allocates %.1f times per pass, want 0", allocs)
 	}
 }

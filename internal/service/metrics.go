@@ -1,12 +1,7 @@
 package service
 
 import (
-	"sync"
-
-	"streamcover/client"
-	"streamcover/internal/bitset"
 	"streamcover/internal/obs"
-	"streamcover/internal/obs/trace"
 	"streamcover/internal/stream"
 )
 
@@ -24,7 +19,6 @@ type schedMetrics struct {
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	passDuration   *obs.Histogram
-	passesTotal    *obs.Counter
 	passesReplayed *obs.Counter
 }
 
@@ -44,10 +38,8 @@ func newSchedMetrics(r *obs.Registry, s *Scheduler) *schedMetrics {
 		cacheMisses: r.Counter("coverd_result_cache_misses_total",
 			"Cache-eligible submissions that had to solve."),
 		passDuration: r.Histogram("coverd_solve_pass_duration_seconds",
-			"Wall time of individual stream passes across all solves.",
+			"Wall time of individual stream passes across all solves (its _count counts the passes).",
 			obs.PassBuckets),
-		passesTotal: r.Counter("coverd_solve_passes_total",
-			"Stream passes completed across all solves."),
 		passesReplayed: r.Counter("coverd_solve_passes_replayed_total",
 			"Stream passes served from a recorded replay plan."),
 	}
@@ -68,73 +60,23 @@ func newSchedMetrics(r *obs.Registry, s *Scheduler) *schedMetrics {
 	return m
 }
 
-// traceRecorder is the scheduler's per-job stream.TraceSink: it converts
-// driver pass samples to the wire form for job snapshots (and the ?watch=1
-// stream) and feeds the pass-duration aggregates live, as passes complete.
-// One recorder belongs to one job; TracePass is called from the job's
-// driver goroutine while snapshot may run concurrently from any request.
-type traceRecorder struct {
-	m      *schedMetrics // nil when the scheduler has no metrics registry
-	kernel string
-	span   *trace.Span // solve span pass events land on; nil when untraced
-
-	mu     sync.Mutex
-	passes []client.PassTrace
-}
-
-// newTraceRecorder returns a recorder for one streaming job. gridKernel
-// selects whether the dispatched bitset grid-kernel body is recorded —
-// true only for solves that sweep the guess grid (setcover).
-func newTraceRecorder(m *schedMetrics, gridKernel bool) *traceRecorder {
-	t := &traceRecorder{m: m}
-	if gridKernel {
-		t.kernel = bitset.GridKernel()
-	}
-	return t
+// passFeed is a streaming job's pass sink and pass record: the embedded
+// stream.Trace collects every sample for the job's snapshots (and the
+// ?watch=1 stream), and the scheduler's pass-duration histogram and
+// replayed-pass counter observe each sample live. The job's driver
+// goroutine feeds it while snapshots read the record from any request.
+type passFeed struct {
+	stream.Trace
+	m *schedMetrics // nil when the scheduler has no metrics registry
 }
 
 // TracePass implements stream.TraceSink.
-func (t *traceRecorder) TracePass(s stream.PassSample) {
-	// Recording() gates the attr assembly so untraced solves stay
-	// allocation-free here (the events would be dropped anyway).
-	if t.span.Recording() {
-		t.span.AddEvent("pass",
-			trace.Int("pass", s.Pass),
-			trace.Float64("duration_seconds", s.Duration.Seconds()),
-			trace.Int("items", s.Items),
-			trace.Int("space_words", s.SpaceWords),
-			trace.Bool("replayed", s.Replayed))
-	}
-	if t.m != nil {
-		t.m.passDuration.Observe(s.Duration.Seconds())
-		t.m.passesTotal.Inc()
+func (f *passFeed) TracePass(s stream.PassSample) {
+	f.Trace.TracePass(s)
+	if f.m != nil {
+		f.m.passDuration.Observe(s.Duration.Seconds())
 		if s.Replayed {
-			t.m.passesReplayed.Inc()
+			f.m.passesReplayed.Inc()
 		}
-	}
-	t.mu.Lock()
-	t.passes = append(t.passes, client.PassTrace{
-		Pass:            s.Pass,
-		DurationSeconds: s.Duration.Seconds(),
-		Items:           s.Items,
-		SpaceWords:      s.SpaceWords,
-		PeakSpaceWords:  s.PeakSpace,
-		Live:            s.Live,
-		Replayed:        s.Replayed,
-	})
-	t.mu.Unlock()
-}
-
-// snapshot returns the wire form of the trace so far, or nil before the
-// first pass completes.
-func (t *traceRecorder) snapshot() *client.SolveTrace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.passes) == 0 {
-		return nil
-	}
-	return &client.SolveTrace{
-		Kernel: t.kernel,
-		Passes: append([]client.PassTrace(nil), t.passes...),
 	}
 }

@@ -94,7 +94,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`coverd_jobs_submitted_total`,
 		`coverd_jobs_completed_total{status="done"}`,
 		`coverd_job_duration_seconds_count`,
-		`coverd_solve_passes_total`,
 		`coverd_solve_pass_duration_seconds_count`,
 		`coverd_registry_instances`,
 		`coverd_registry_resident_bytes`,
@@ -107,8 +106,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if got := vals[`coverd_jobs_running`]; got != 0 {
 		t.Errorf("coverd_jobs_running = %v after the solve finished", got)
 	}
-	if job.Result == nil || vals[`coverd_solve_passes_total`] != float64(job.Result.Passes) {
-		t.Errorf("coverd_solve_passes_total = %v, job ran %+v", vals[`coverd_solve_passes_total`], job.Result)
+	if job.Result == nil || vals[`coverd_solve_pass_duration_seconds_count`] != float64(job.Result.Passes) {
+		t.Errorf("coverd_solve_pass_duration_seconds_count = %v, job ran %+v",
+			vals[`coverd_solve_pass_duration_seconds_count`], job.Result)
 	}
 
 	// A second scrape must still include the http family and count itself.

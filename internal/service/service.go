@@ -28,9 +28,9 @@
 // parallelism-determinism contract. That is what makes the result cache
 // sound — Results returns bit-identical covers, pass counts and space
 // accounting whether computed or cached, and a coverd answer equals the
-// corresponding local solve exactly (pinned by TestWireDeterminism,
-// TestCatalogConformance, the remote column of the root package's
-// conformance matrix and the serve-smoke CI target).
+// corresponding local solve exactly (pinned by TestWireDeterminism, the
+// remote column of the root package's conformance matrix and the
+// serve-smoke CI target).
 //
 // # Cancellation
 //
@@ -93,7 +93,7 @@ type job struct {
 	release  func()             // registry unpin, called once on terminal
 	cancel   context.CancelFunc // non-nil while running
 	canceled bool               // cancel requested (covers the queued window)
-	trace    *traceRecorder     // per-pass solve timeline (streaming algos)
+	trace    *passFeed          // per-pass solve record (streaming algos)
 	done     chan struct{}
 
 	// Request-tracing state: nil/empty when the submitting request carried
@@ -419,8 +419,8 @@ func (s *Scheduler) runJob(j *job) {
 	j.status = StatusRunning
 	j.started = time.Now()
 	j.cancel = cancel
-	if e := catalog.Lookup(j.req.Algo); e.Streams {
-		j.trace = newTraceRecorder(s.metrics, e.Grid)
+	if catalog.Lookup(j.req.Algo).Streams {
+		j.trace = &passFeed{m: s.metrics}
 	}
 	s.stats.Running++
 	if s.stats.Running > s.stats.PeakRunning {
@@ -562,9 +562,9 @@ func (s *Scheduler) replayPlan(ctx context.Context, inst *streamcover.Instance, 
 }
 
 // solve runs one job through the catalog with the job context, the per-job
-// worker budget, the job's pass-trace recorder (nil for the offline
-// references) and the instance's replay plan, built only if consumed.
-func (s *Scheduler) solve(ctx context.Context, inst *streamcover.Instance, req SolveRequest, tr *traceRecorder) (SolveResult, error) {
+// worker budget, the job's pass record (nil for the offline references) and
+// the instance's replay plan, built only if consumed.
+func (s *Scheduler) solve(ctx context.Context, inst *streamcover.Instance, req SolveRequest, feed *passFeed) (SolveResult, error) {
 	workers := s.cfg.JobWorkers
 	if req.Workers > 0 && req.Workers < workers {
 		workers = req.Workers
@@ -574,12 +574,10 @@ func (s *Scheduler) solve(ctx context.Context, inst *streamcover.Instance, req S
 	sp.SetAttr("algo", req.Algo)
 	sp.SetInt("workers", workers)
 	env := catalog.Env{Workers: workers}
-	if tr != nil {
-		// Each completed pass becomes one event on the solve span. A nil
-		// recorder must stay an untyped-nil sink, or the drivers would see
-		// a non-nil interface and trace into nothing.
-		tr.span = sp
-		env.Trace = tr
+	if feed != nil {
+		// A nil feed must stay an untyped-nil sink: boxed in the interface
+		// it would read as a sink, and the drivers would call it.
+		env.Trace = feed
 	}
 	if !s.cfg.DisableReplay {
 		hash := req.Instance
@@ -728,7 +726,7 @@ func (j *job) snapshotLocked() Job {
 		out.Finished = &t
 	}
 	if j.trace != nil {
-		out.Trace = j.trace.snapshot() // nil before the first pass completes
+		out.Trace = catalog.Lookup(j.req.Algo).Trace(&j.trace.Trace) // nil before the first pass completes
 	}
 	out.TraceID = j.traceID
 	return out

@@ -3,8 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net/http"
 	"reflect"
 	"slices"
 	"sync"
@@ -60,40 +58,6 @@ func waitStatus(t *testing.T, s *Scheduler, id string, want JobStatus, within ti
 			t.Fatalf("job %s status %s, want %s", id, j.Status, want)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func TestSchedulerSolveMatchesInProcess(t *testing.T) {
-	reg, sched := newEnv(t, registry.Config{}, Config{Slots: 2})
-	inst := smallInst(1)
-	hash, _, err := reg.Put(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed 0 is a legal seed and must pass through verbatim, not be
-	// rewritten to a default — WithSeed(0) locally must match {"seed":0}.
-	for _, seed := range []uint64{0, 42} {
-		job, err := sched.Submit(SolveRequest{Instance: hash, Alpha: 3, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		final, err := sched.Wait(t.Context(), job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if final.Status != StatusDone {
-			t.Fatalf("seed %d: job finished %s (%s), want done", seed, final.Status, final.Error)
-		}
-		want, err := streamcover.SolveSetCover(inst,
-			streamcover.WithAlpha(3), streamcover.WithSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := final.Result
-		if !reflect.DeepEqual(got.Cover, want.Cover) || got.Guess != want.Guess ||
-			got.Passes != want.Passes || got.SpaceWords != want.SpaceWords {
-			t.Fatalf("seed %d: scheduler result %+v differs from in-process %+v", seed, got, want)
-		}
 	}
 }
 
@@ -248,46 +212,6 @@ func TestSchedulerValidation(t *testing.T) {
 	}
 	if _, err := sched.Job("j999"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("unknown job: err=%v, want ErrUnknownJob", err)
-	}
-}
-
-// TestCatalogConformance is local == remote for the whole catalog: every
-// entry × arrival order × seed, served over HTTP by a scheduler with
-// 4-way job parallelism and replay on, must equal catalog.Run in process
-// at one worker with no plan — cover, guess, covered, passes and space.
-// Every set cover result must also be feasible.
-func TestCatalogConformance(t *testing.T) {
-	srv, _, _ := newHTTPEnv(t, registry.Config{}, Config{Slots: 2, JobWorkers: 4})
-	inst := smallInst(4)
-	hash := upload(t, srv.URL, inst, http.StatusCreated).Hash
-	for _, algo := range catalog.Algos {
-		for _, order := range catalog.Orders {
-			for _, seed := range []uint64{0, 7} {
-				req := SolveRequest{Instance: hash, Algo: algo, Order: order, Seed: seed, Wait: true}
-				if algo == "maxcover" {
-					req.K = 4
-				}
-				name := fmt.Sprintf("%s/%s/seed=%d", algo, order, seed)
-				job := decode[Job](t, postJSON(t, srv.URL+"/v1/solve", req), http.StatusOK)
-				if job.Status != StatusDone {
-					t.Fatalf("%s: served job %s (%s)", name, job.Status, job.Error)
-				}
-				norm, err := catalog.Normalize(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := catalog.Run(t.Context(), inst, norm, catalog.Env{Workers: 1})
-				if err != nil {
-					t.Fatalf("%s: local run: %v", name, err)
-				}
-				if !reflect.DeepEqual(*job.Result, want) {
-					t.Fatalf("%s: served %+v, local %+v", name, *job.Result, want)
-				}
-				if algo != "maxcover" && !inst.IsCover(want.Cover) {
-					t.Fatalf("%s: result is not a cover", name)
-				}
-			}
-		}
 	}
 }
 

@@ -99,9 +99,10 @@ func spanByName(rec trace.Recorded, name string) (trace.SpanData, bool) {
 
 // TestTracePropagationEndToEnd pins the acceptance criterion: a
 // client-supplied traceparent yields a server-side trace whose span tree
-// contains the admission, queue, pin, plan and solve spans with one event
-// per solve pass, and the same trace ID appears in the X-Request-Id header,
-// the job snapshot, the access log and the lifecycle log.
+// contains the admission, queue, pin, plan and solve spans, the job
+// snapshot carries one trace entry per solve pass, and the same trace ID
+// appears in the X-Request-Id header, the job snapshot, the access log and
+// the lifecycle log.
 func TestTracePropagationEndToEnd(t *testing.T) {
 	var buf syncBuffer
 	srv, _, tracer := newTracedEnv(t, &buf)
@@ -154,15 +155,9 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 			t.Fatalf("span %q missing from trace %v", name, spanNames(rec))
 		}
 	}
-	solve, _ := spanByName(rec, "solve")
-	passes := 0
-	for _, ev := range solve.Events {
-		if ev.Name == "pass" {
-			passes++
-		}
-	}
-	if passes != job.Result.Passes {
-		t.Fatalf("solve span has %d pass events, want %d (one per solve pass)", passes, job.Result.Passes)
+	// The passes travel once, in the job's trace.
+	if job.Trace == nil || len(job.Trace.Passes) != job.Result.Passes {
+		t.Fatalf("job trace = %+v, want one entry per solve pass (%d)", job.Trace, job.Result.Passes)
 	}
 
 	// One grep pivots across planes: the access log line and the job

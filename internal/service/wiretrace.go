@@ -12,7 +12,6 @@ import (
 type (
 	RecordedTrace  = client.RecordedTrace
 	TraceSpan      = client.TraceSpan
-	TraceEvent     = client.TraceEvent
 	TracesResponse = client.TracesResponse
 	DebugBundle    = client.DebugBundle
 )
@@ -30,7 +29,6 @@ func wireTrace(rec trace.Recorded) RecordedTrace {
 			Start:           s.Start,
 			DurationSeconds: s.Duration().Seconds(),
 			Attrs:           attrMap(s.Attrs),
-			Events:          wireEvents(s.Events),
 		}
 		if !s.Parent.IsZero() {
 			nodes[i].Parent = s.Parent.String()
@@ -89,15 +87,4 @@ func attrMap(attrs []trace.Attr) map[string]any {
 		m[a.Key] = a.Value
 	}
 	return m
-}
-
-func wireEvents(events []trace.Event) []TraceEvent {
-	if len(events) == 0 {
-		return nil
-	}
-	out := make([]TraceEvent, len(events))
-	for i, e := range events {
-		out[i] = TraceEvent{Name: e.Name, Time: e.Time, Attrs: attrMap(e.Attrs)}
-	}
-	return out
 }

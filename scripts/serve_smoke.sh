@@ -8,9 +8,12 @@
 # file-streamed run and covercli -replay (load once, serve every pass from
 # a replay plan) to print that same output on SCB1, SCB2 and text copies of
 # the instance, and both to reject a text copy whose set lines are out of
-# id order. A tracing leg then solves under a known W3C
-# traceparent and asserts the trace ID surfaces in the access log, the job
-# snapshot and the debug listener's recent-trace list. Normalization legs
+# id order. A trace leg requires covercli -trace, run locally with -replay
+# and remotely, to keep stdout unchanged and print the same pass record. A
+# tracing leg then solves under a known W3C traceparent and asserts the
+# trace ID surfaces in the access log, the job snapshot and the debug
+# listener's recent-trace list, and that the job snapshot's trace holds one
+# entry per pass. Normalization legs
 # then require -alpha 0 to mean the same locally and remotely and
 # out-of-range -alpha/-eps to exit 2 on both paths. Finally it checks the
 # daemon shuts down cleanly on SIGTERM.
@@ -103,6 +106,34 @@ for REPLAY in false true; do
 done
 echo "serve-smoke: reversed text rejected, naming a set id (honest and -replay)"
 
+# Trace leg: covercli -trace prints the solve's pass record on stderr and
+# leaves stdout alone. A local -replay run and a remote run (a seed no leg
+# above used, so the server solves instead of answering from its cache)
+# must print the untraced stdout, and the same grid-kernel and pass lines
+# once the pass durations are stripped.
+TFLAGS=(-in "$WORK/hard.scb" -algo alg1 -alpha 3 -seed 13)
+"$WORK/covercli" "${TFLAGS[@]}" > "$WORK/untraced.out"
+"$WORK/covercli" -trace -replay "${TFLAGS[@]}" > "$WORK/traced.local.out" 2> "$WORK/traced.local.err"
+"$WORK/covercli" -trace -server "http://$ADDR" "${TFLAGS[@]}" > "$WORK/traced.remote.out" 2> "$WORK/traced.remote.err"
+passlines() {
+	grep -E '^trace: (grid kernel|pass )' "$1" | sed -E 's/^(trace: pass [0-9]+( \(replayed\))?): [^,]+, /\1: /'
+}
+for WHERE in local remote; do
+	if ! diff -u "$WORK/untraced.out" "$WORK/traced.$WHERE.out"; then
+		echo "serve-smoke: FAIL — covercli -trace ($WHERE) changed stdout"
+		exit 1
+	fi
+	passlines "$WORK/traced.$WHERE.err" > "$WORK/traced.$WHERE.passes"
+done
+if ! grep -q '^trace: pass ' "$WORK/traced.local.passes" ||
+	! diff -u "$WORK/traced.local.passes" "$WORK/traced.remote.passes"; then
+	echo "serve-smoke: FAIL — covercli -trace pass lines differ local vs remote (or are missing):"
+	cat "$WORK/traced.local.err" "$WORK/traced.remote.err"
+	exit 1
+fi
+echo "serve-smoke: covercli -trace stdout == untraced stdout, same pass record local and remote:"
+sed 's/^/  /' "$WORK/traced.remote.passes"
+
 # Re-solving the same request must hit the result cache (stats come back
 # as JSON; a crude grep keeps this dependency-free).
 "$WORK/covercli" -server "http://$ADDR" "${FLAGS[@]}" > /dev/null
@@ -120,10 +151,11 @@ if command -v curl > /dev/null; then
 
 	# Metrics smoke: the Prometheus exposition must parse line by line, and
 	# the scheduler counters must move across one more (seed-changed, so
-	# uncached) remote solve.
+	# uncached) remote solve. A label value is a quoted string and may hold
+	# braces (the route label of GET /v1/traces/{id}).
 	metric() { echo "$1" | awk -v n="$2" '$1 == n { print $2 }'; }
 	BEFORE="$(curl -fsS "http://$ADDR/metrics")"
-	BAD="$(echo "$BEFORE" | grep -Ev '^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* |[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|[-+]?(Inf|[0-9][0-9eE.+-]*))$)' || true)"
+	BAD="$(echo "$BEFORE" | grep -Ev '^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* |[a-zA-Z_:][a-zA-Z0-9_:]*(\{([^"}]|"([^"\\]|\\.)*")*\})? (NaN|[-+]?(Inf|[0-9][0-9eE.+-]*))$)' || true)"
 	if [ -n "$BAD" ]; then
 		echo "serve-smoke: FAIL — unparseable /metrics lines:"
 		echo "$BAD" | sed 's/^/  /'
@@ -133,8 +165,8 @@ if command -v curl > /dev/null; then
 	AFTER="$(curl -fsS "http://$ADDR/metrics")"
 	SUB_BEFORE="$(metric "$BEFORE" coverd_jobs_submitted_total)"
 	SUB_AFTER="$(metric "$AFTER" coverd_jobs_submitted_total)"
-	PASSES_BEFORE="$(metric "$BEFORE" coverd_solve_passes_total)"
-	PASSES_AFTER="$(metric "$AFTER" coverd_solve_passes_total)"
+	PASSES_BEFORE="$(metric "$BEFORE" coverd_solve_pass_duration_seconds_count)"
+	PASSES_AFTER="$(metric "$AFTER" coverd_solve_pass_duration_seconds_count)"
 	if [ "${SUB_AFTER:-0}" -le "${SUB_BEFORE:-0}" ] || [ "${PASSES_AFTER:-0}" -le "${PASSES_BEFORE:-0}" ]; then
 		echo "serve-smoke: FAIL — metrics did not move across a solve" \
 			"(submitted $SUB_BEFORE -> $SUB_AFTER, passes $PASSES_BEFORE -> $PASSES_AFTER)"
@@ -182,10 +214,14 @@ if command -v curl > /dev/null; then
 			exit 1
 		}
 	done
-	echo "$TRACE_JSON" | grep -q '"name":"pass"' || {
-		echo "serve-smoke: FAIL — solve span has no per-pass events: $TRACE_JSON"
+	# The passes cross the wire once, in the job snapshot's trace: one
+	# entry per pass the result reports.
+	RESULT_PASSES="$(echo "$JOB" | sed -n 's/.*"result":{[^}]*"passes":\([0-9]*\).*/\1/p')"
+	TRACE_PASSES="$(echo "$JOB" | grep -o '{"pass":[0-9]*' | wc -l)"
+	if [ -z "$RESULT_PASSES" ] || [ "$TRACE_PASSES" -ne "$RESULT_PASSES" ]; then
+		echo "serve-smoke: FAIL — job trace has $TRACE_PASSES passes, result reports '$RESULT_PASSES': $JOB"
 		exit 1
-	}
+	fi
 	curl -fsS "http://$DEBUG_ADDR/debug/traces" | grep -q "$TRACE_ID" || {
 		echo "serve-smoke: FAIL — trace id absent from /debug/traces"
 		exit 1
@@ -202,7 +238,8 @@ if command -v curl > /dev/null; then
 		echo "serve-smoke: FAIL — job lifecycle log missing trace_id=$TRACE_ID"
 		exit 1
 	}
-	echo "serve-smoke: tracing OK (trace $TRACE_ID in job, access log, lifecycle log, recorder, debug endpoints)"
+	echo "serve-smoke: tracing OK (trace $TRACE_ID in job, access log, lifecycle log, recorder, debug endpoints;" \
+		"job trace has $TRACE_PASSES of $RESULT_PASSES passes)"
 fi
 
 # Normalization legs, after the stats check because they upload a second
