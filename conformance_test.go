@@ -16,7 +16,6 @@ import (
 	"streamcover/client"
 	"streamcover/internal/catalog"
 	"streamcover/internal/core"
-	"streamcover/internal/maxcover"
 	"streamcover/internal/registry"
 	"streamcover/internal/service"
 	"streamcover/internal/setsystem"
@@ -526,22 +525,4 @@ func (m *matrix) remote(ctx context.Context, inst *streamcover.Instance, path st
 		return catalog.Result{}, fmt.Errorf("job %s: %s", job.Status, job.Error)
 	}
 	return *job.Result, nil
-}
-
-// TestSieveMatchesScalarGolden pins the sieve grid (every guess probing
-// the same item, the run-sharing workload) to its value recorded from the
-// scalar observe plane. maxcover.Sieve is not a catalog entry, so the
-// matrix cannot reach it.
-func TestSieveMatchesScalarGolden(t *testing.T) {
-	inst := streamcover.GenerateUniform(5, 512, 128, 32, 96)
-	sv := maxcover.NewSieve(inst.N, 4, 0.1)
-	acc, err := stream.Run(stream.FromInstance(inst, stream.Adversarial, nil), sv, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chosen, covered := sv.Result()
-	if !reflect.DeepEqual(chosen, []int{5, 7, 8, 37}) || covered != 270 || acc.Passes != 1 || acc.PeakSpace != 12374 {
-		t.Errorf("sieve: chosen=%v covered=%d passes=%d space=%d, want [5 7 8 37]/270/1/12374",
-			chosen, covered, acc.Passes, acc.PeakSpace)
-	}
 }

@@ -49,3 +49,26 @@ func ExampleGenerateHardSetCover() {
 	// sets: 16
 	// planted pair covers universe: true
 }
+
+// Assemble an instance set by set, then solve it.
+func ExampleNewInstanceBuilder() {
+	// Six sensors, each watching some cells of a 12-cell corridor.
+	b := streamcover.NewInstanceBuilder(12)
+	b.AddSet([]int{0, 1, 2, 3})
+	b.AddSet([]int{2, 3, 4, 5})
+	b.AddSet([]int{4, 5, 6, 7})
+	b.AddSet([]int{6, 7, 8, 9})
+	b.AddSet([]int{8, 9, 10, 11})
+	b.AddSet([]int{0, 5, 10})
+	inst := b.Build()
+	fmt.Println("universe:", inst.N, "sets:", inst.M())
+
+	res, err := streamcover.SolveSetCover(inst, streamcover.WithAlpha(2), streamcover.WithSeed(1))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("cover:", res.Cover, "feasible:", inst.IsCover(res.Cover))
+	// Output:
+	// universe: 12 sets: 6
+	// cover: [0 2 4] feasible: true
+}

@@ -165,28 +165,12 @@ func (b *Bitset) Or(other *Bitset) {
 	}
 }
 
-// And sets b to b ∩ other.
-func (b *Bitset) And(other *Bitset) {
-	b.check(other)
-	for i, w := range other.words {
-		b.words[i] &= w
-	}
-}
-
 // AndNot sets b to b \ other.
 func (b *Bitset) AndNot(other *Bitset) {
 	b.check(other)
 	for i, w := range other.words {
 		b.words[i] &^= w
 	}
-}
-
-// Not complements b within its universe.
-func (b *Bitset) Not() {
-	for i := range b.words {
-		b.words[i] = ^b.words[i]
-	}
-	b.trim()
 }
 
 // AndCount returns |b ∩ other| without modifying either set.
@@ -217,17 +201,6 @@ func (b *Bitset) OrCount(other *Bitset) int {
 		c += bits.OnesCount64(b.words[i] | w)
 	}
 	return c
-}
-
-// Intersects reports whether b ∩ other is non-empty.
-func (b *Bitset) Intersects(other *Bitset) bool {
-	b.check(other)
-	for i, w := range other.words {
-		if b.words[i]&w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether b and other contain the same elements.

@@ -73,14 +73,6 @@ func TestFillNotTrim(t *testing.T) {
 		if got := b.Count(); got != n {
 			t.Fatalf("n=%d: Fill Count = %d", n, got)
 		}
-		b.Not()
-		if !b.Empty() {
-			t.Fatalf("n=%d: Not(Fill) not empty", n)
-		}
-		b.Not()
-		if got := b.Count(); got != n {
-			t.Fatalf("n=%d: Not(Not(Fill)) Count = %d", n, got)
-		}
 	}
 }
 
@@ -167,9 +159,6 @@ func TestSetAlgebraAgainstMaps(t *testing.T) {
 		if got := a.AndNotCount(b); got != diff {
 			t.Fatalf("n=%d AndNotCount=%d want %d", n, got, diff)
 		}
-		if got := a.Intersects(b); got != (inter > 0) {
-			t.Fatalf("n=%d Intersects=%v want %v", n, got, inter > 0)
-		}
 
 		// Mutating ops must agree with the counting ops.
 		u := a.Clone()
@@ -177,44 +166,14 @@ func TestSetAlgebraAgainstMaps(t *testing.T) {
 		if u.Count() != union {
 			t.Fatalf("Or count=%d want %d", u.Count(), union)
 		}
-		i := a.Clone()
-		i.And(b)
-		if i.Count() != inter {
-			t.Fatalf("And count=%d want %d", i.Count(), inter)
-		}
 		d := a.Clone()
 		d.AndNot(b)
 		if d.Count() != diff {
 			t.Fatalf("AndNot count=%d want %d", d.Count(), diff)
 		}
-		if !i.SubsetOf(a) || !i.SubsetOf(b) || !d.SubsetOf(a) {
+		if !a.SubsetOf(u) || !b.SubsetOf(u) || !d.SubsetOf(a) {
 			t.Fatal("subset relations violated")
 		}
-	}
-}
-
-// Property: De Morgan's law ¬(A ∪ B) = ¬A ∩ ¬B over a fixed universe.
-func TestQuickDeMorgan(t *testing.T) {
-	const n = 137
-	f := func(xs, ys []uint16) bool {
-		a, b := New(n), New(n)
-		for _, x := range xs {
-			a.Set(int(x) % n)
-		}
-		for _, y := range ys {
-			b.Set(int(y) % n)
-		}
-		lhs := a.Clone()
-		lhs.Or(b)
-		lhs.Not()
-		na, nb := a.Clone(), b.Clone()
-		na.Not()
-		nb.Not()
-		na.And(nb)
-		return lhs.Equal(na)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

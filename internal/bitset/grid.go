@@ -18,8 +18,8 @@ import (
 // observable. A 1-lane grid keeps stride 1, which makes it byte-identical
 // to a dense Bitset — standalone single-guess runs pay no interleaving tax.
 //
-// Lane-mutating methods take the lane index first; like Bitset, capacity
-// mismatches and out-of-range lanes panic rather than failing silently.
+// Lane methods take the lane index first; an out-of-range lane panics
+// rather than failing silently, as a capacity mismatch does in Bitset.
 type Grid struct {
 	words  []uint64
 	n      int // per-lane capacity in bits
@@ -51,20 +51,8 @@ func NewGrid(n, lanes int) *Grid {
 	}
 }
 
-// Cap reports the per-lane capacity (the universe size each lane was built
-// for).
-func (g *Grid) Cap() int { return g.n }
-
-// Lanes reports the number of lanes in the grid.
-func (g *Grid) Lanes() int { return g.lanes }
-
-// Width reports the padded row width in words — the length AndCountRuns
-// requires of its counts slice. Width() == Lanes() rounded up to a multiple
-// of 4 (for grids of at least 4 lanes).
-func (g *Grid) Width() int { return g.stride }
-
-// MakeCounts returns a zeroed count accumulator of the padded width, sized
-// for AndCountRuns. Entries [0, Lanes()) are the per-lane counts; the
+// MakeCounts returns a zeroed count accumulator of the padded row width,
+// sized for AndCountRuns. Entries [0, lanes) are the per-lane counts; the
 // padding tail is always zero.
 func (g *Grid) MakeCounts() []int64 { return make([]int64, g.stride) }
 
@@ -151,7 +139,7 @@ func (g *Grid) Range(lane int, fn func(e int) bool) {
 
 // LaneRankElems rewrites every element of elems, in place, to its rank in
 // the lane: the number of lane elements smaller than it. Elements must lie
-// in [0, Cap()). On the lane's own elements this maps its k elements onto
+// in [0, n). On the lane's own elements this maps its k elements onto
 // [0, k) in order, so an ascending view stays ascending. The rank is a
 // per-word prefix count plus a popcount below the element's bit; the
 // prefix scratch holds one counter per 64 elements of capacity and lives
@@ -172,20 +160,6 @@ func (g *Grid) LaneRankElems(lane int, elems []int32) {
 	}
 }
 
-// CopyLane overwrites the given lane with lane srcLane of src. The grids
-// must have equal capacity; they may differ in lane count (this is how the
-// sieve migrates surviving guesses into a re-shaped grid).
-func (g *Grid) CopyLane(lane int, src *Grid, srcLane int) {
-	g.checkLane(lane)
-	src.checkLane(srcLane)
-	if g.n != src.n {
-		panic(fmt.Sprintf("bitset: grid capacity mismatch %d vs %d", g.n, src.n))
-	}
-	for w := 0; w < g.rows; w++ {
-		g.words[w*g.stride+lane] = src.words[w*src.stride+srcLane]
-	}
-}
-
 // LaneBitset returns the given lane as a freshly allocated Bitset — the
 // de-sliced view, used by parity tests and one-off inspection, not on hot
 // paths.
@@ -201,8 +175,8 @@ func (g *Grid) LaneBitset(lane int) *Bitset {
 // AndCountRuns accumulates |lane ∩ runs| into counts[lane] for every lane
 // at once: for each run it sweeps one contiguous row of the arena, so all
 // lanes are probed with stride-1 loads. counts must have length at least
-// Width() (use MakeCounts); entries are added to, not overwritten, and the
-// padding entries [Lanes(), Width()) stay untouched-by-meaning (padding
+// the padded row width (use MakeCounts); entries are added to, not
+// overwritten, and the padding entries stay untouched-by-meaning (padding
 // lanes hold no bits, so their counts never change).
 //
 // This is the dispatched kernel: the body is the scalar loop below or the
@@ -271,21 +245,6 @@ func (g *Grid) LaneAndNotRuns(lane int, runs []Run) (removed int) {
 		}
 	}
 	return removed
-}
-
-// LaneOrRuns sets the lane to lane ∪ runs and returns the number of
-// elements added, mirroring Bitset.SetRuns.
-func (g *Grid) LaneOrRuns(lane int, runs []Run) (added int) {
-	g.checkLane(lane)
-	for _, r := range runs {
-		i := int(r.Word)*g.stride + lane
-		w := g.words[i]
-		if nw := w | r.Mask; nw != w {
-			g.words[i] = nw
-			added += bits.OnesCount64(nw &^ w)
-		}
-	}
-	return added
 }
 
 // LaneAndRunsAppend appends the elements of lane ∩ runs to dst in

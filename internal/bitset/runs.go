@@ -104,19 +104,6 @@ func (b *Bitset) AndNotRuns(runs []Run) (removed int) {
 	return removed
 }
 
-// SetRuns sets b to b ∪ runs and returns the number of elements added (the
-// popcount delta), so callers tracking |b| update it for free.
-func (b *Bitset) SetRuns(runs []Run) (added int) {
-	for _, r := range runs {
-		w := b.words[r.Word]
-		if nw := w | r.Mask; nw != w {
-			b.words[r.Word] = nw
-			added += bits.OnesCount64(nw &^ w)
-		}
-	}
-	return added
-}
-
 // AndRunsAppend appends the elements of b ∩ runs to dst in increasing order
 // and returns it: the word-parallel form of "filter these sorted elements
 // by membership in b" (non-intersecting words cost one AND each).

@@ -89,18 +89,6 @@ func TestRunKernelsMatchScalar(t *testing.T) {
 		if removed != before-bRuns.Count() {
 			t.Fatalf("trial %d: AndNotRuns removed=%d, true delta=%d", trial, removed, before-bRuns.Count())
 		}
-
-		// SetRuns: same final set as scalar Or, added == |b| delta.
-		bRuns, bScalar = b.Clone(), b.Clone()
-		before = bRuns.Count()
-		added := bRuns.SetRuns(runs)
-		bScalar.Or(set)
-		if !bRuns.Equal(bScalar) {
-			t.Fatalf("trial %d: SetRuns result differs from scalar Or", trial)
-		}
-		if added != bRuns.Count()-before {
-			t.Fatalf("trial %d: SetRuns added=%d, true delta=%d", trial, added, bRuns.Count()-before)
-		}
 	}
 }
 
@@ -110,7 +98,7 @@ func TestRunKernelsEmpty(t *testing.T) {
 	}
 	b := New(100)
 	b.Fill()
-	if b.AndCountRuns(nil) != 0 || b.AndNotRuns(nil) != 0 || b.SetRuns(nil) != 0 {
+	if b.AndCountRuns(nil) != 0 || b.AndNotRuns(nil) != 0 {
 		t.Fatal("empty run list must be a no-op on every kernel")
 	}
 	if got := b.AndRunsAppend(nil, nil); len(got) != 0 {

@@ -81,8 +81,6 @@ type Config struct {
 	SampleC float64
 	// Subsolver selects the per-iteration offline solver (default exact).
 	Subsolver Subsolver
-	// NodeBudget bounds each exact sub-solve (0 = offline package default).
-	NodeBudget int64
 	// SampleExponent overrides the per-iteration reduction exponent β in
 	// ρ = n^{−β}: the sampling rate becomes C·õpt·ln(m)/n^{1−β} and the
 	// number of iterations ⌈1/β⌉. 0 means the paper's β = 1/α. Setting
@@ -625,8 +623,7 @@ func (a *Run) solveSample() {
 		}
 		picked = cover
 	default:
-		cover, ok, err := offline.CoverAtMost(sub, a.opt,
-			offline.ExactConfig{NodeBudget: a.cfg.NodeBudget, Context: a.cfg.Context})
+		cover, ok, err := offline.CoverAtMost(sub, a.opt, offline.ExactConfig{Context: a.cfg.Context})
 		if err != nil {
 			a.err = err
 			a.failed = true

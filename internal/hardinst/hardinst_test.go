@@ -392,42 +392,6 @@ func TestMaxCoverClaim44(t *testing.T) {
 	}
 }
 
-func TestSampleRandomTheta(t *testing.T) {
-	r := rng.New(16)
-	sawSC := map[int]bool{}
-	for i := 0; i < 20; i++ {
-		sc := SampleSetCoverRandomTheta(SCParams{N: 128, M: 4, Alpha: 2}, r)
-		sawSC[sc.Theta] = true
-	}
-	if !sawSC[0] || !sawSC[1] {
-		t.Fatal("random θ never produced both values for D_SC")
-	}
-	sawMC := map[int]bool{}
-	for i := 0; i < 20; i++ {
-		mc := SampleMaxCoverRandomTheta(MCParams{Eps: 0.25, M: 3}, r)
-		sawMC[mc.Theta] = true
-	}
-	if !sawMC[0] || !sawMC[1] {
-		t.Fatal("random θ never produced both values for D_MC")
-	}
-}
-
-func TestPairOfRoundTrip(t *testing.T) {
-	sc := SampleSetCover(SCParams{N: 128, M: 5, Alpha: 2}, 0, rng.New(17))
-	for i := 0; i < 5; i++ {
-		if pi, alice := sc.PairOf(sc.AliceSet(i)); pi != i || !alice {
-			t.Fatal("PairOf(AliceSet) wrong")
-		}
-		if pi, alice := sc.PairOf(sc.BobSet(i)); pi != i || alice {
-			t.Fatal("PairOf(BobSet) wrong")
-		}
-	}
-	mc := SampleMaxCover(MCParams{Eps: 0.25, M: 4}, 0, rng.New(18))
-	if pi, alice := mc.PairOf(mc.BobSet(2)); pi != 2 || alice {
-		t.Fatal("MaxCover PairOf wrong")
-	}
-}
-
 func BenchmarkSampleSetCover(b *testing.B) {
 	r := rng.New(1)
 	p := SCParams{N: 4096, M: 64, Alpha: 2}

@@ -24,9 +24,6 @@ func (p MCParams) T1() int { return int(math.Ceil(1 / (p.Eps * p.Eps))) }
 // T2 returns the gadget universe size t2 = 10·t1.
 func (p MCParams) T2() int { return 10 * p.T1() }
 
-// N returns the total universe size t1 + t2.
-func (p MCParams) N() int { return p.T1() + p.T2() }
-
 // MaxCoverInstance is one draw from D_MC with its ground truth. The
 // universe is U1 ∪ U2 with U1 = [0, t1) and U2 = [t1, t1+t2); set i is
 // S_i = A_i ∪ C_i, set M+i is T_i = B_i ∪ D_i, where (A_i, B_i) ~ GHD over
@@ -44,23 +41,11 @@ type MaxCoverInstance struct {
 	Tau float64
 }
 
-// K is the max-coverage budget of the hard distribution (the paper fixes
-// k = 2).
-const K = 2
-
 // AliceSet returns the index of S_i within the instance.
 func (mc *MaxCoverInstance) AliceSet(i int) int { return i }
 
 // BobSet returns the index of T_i within the instance.
 func (mc *MaxCoverInstance) BobSet(i int) int { return mc.Params.M + i }
-
-// PairOf maps a set index back to its pair index and Alice/Bob side.
-func (mc *MaxCoverInstance) PairOf(setIdx int) (i int, alice bool) {
-	if setIdx < mc.Params.M {
-		return setIdx, true
-	}
-	return setIdx - mc.Params.M, false
-}
 
 // SampleMaxCover draws from D_MC with the given θ ∈ {0,1}.
 func SampleMaxCover(p MCParams, theta int, r *rng.RNG) *MaxCoverInstance {
@@ -97,25 +82,6 @@ func SampleMaxCover(p MCParams, theta int, r *rng.RNG) *MaxCoverInstance {
 	}
 	mc.Inst = setsystem.FromSets(t1+t2, sets)
 	return mc
-}
-
-// SampleMaxCoverRandomTheta draws θ uniformly then samples D_MC.
-func SampleMaxCoverRandomTheta(p MCParams, r *rng.RNG) *MaxCoverInstance {
-	theta := 0
-	if r.Bernoulli(0.5) {
-		theta = 1
-	}
-	return SampleMaxCover(p, theta, r)
-}
-
-// RandomPartition assigns each of the 2M sets to Alice independently with
-// probability 1/2 (the D'_MC distribution in the proof of Theorem 4).
-func (mc *MaxCoverInstance) RandomPartition(r *rng.RNG) Partition {
-	p := make(Partition, 2*mc.Params.M)
-	for i := range p {
-		p[i] = r.Bernoulli(0.5)
-	}
-	return p
 }
 
 // mergeSorted merges a sorted slice with a sorted slice over a disjoint,

@@ -84,15 +84,6 @@ func (sc *SetCoverInstance) AliceSet(i int) int { return i }
 // BobSet returns the index of T_i within the instance.
 func (sc *SetCoverInstance) BobSet(i int) int { return sc.Params.M + i }
 
-// PairOf maps a set index back to its pair index i and whether it is an
-// Alice set (S_i) or a Bob set (T_i).
-func (sc *SetCoverInstance) PairOf(setIdx int) (i int, alice bool) {
-	if setIdx < sc.Params.M {
-		return setIdx, true
-	}
-	return setIdx - sc.Params.M, false
-}
-
 // SampleSetCover draws from D_SC with the given θ ∈ {0,1}.
 func SampleSetCover(p SCParams, theta int, r *rng.RNG) *SetCoverInstance {
 	if p.M < 1 || p.N < 2 || p.Alpha < 1 {
@@ -120,15 +111,6 @@ func SampleSetCover(p SCParams, theta int, r *rng.RNG) *SetCoverInstance {
 	}
 	sc.Inst = setsystem.FromSets(n, sets)
 	return sc
-}
-
-// SampleSetCoverRandomTheta draws θ uniformly then samples D_SC.
-func SampleSetCoverRandomTheta(p SCParams, r *rng.RNG) *SetCoverInstance {
-	theta := 0
-	if r.Bernoulli(0.5) {
-		theta = 1
-	}
-	return SampleSetCover(p, theta, r)
 }
 
 // Partition assigns the 2M sets to Alice/Bob. owner[idx] is true when set

@@ -1,7 +1,7 @@
 // Package info provides the information-theoretic toolkit used by the
-// lower-bound experiments: plug-in (empirical) estimators of Shannon
-// entropy, mutual information and conditional mutual information over
-// discrete samples, plus the Chernoff-bound helpers of Section 2.
+// lower-bound experiments: plug-in (empirical) estimators of mutual
+// information and conditional mutual information over discrete samples,
+// plus the Lemma 2.2 sampling bound of Section 2.
 //
 // The paper's lower bounds are statements about the internal information
 // cost ICost_D(π) = I(Π:X|Y) + I(Π:Y|X) of two-party protocols (Definition
@@ -14,29 +14,6 @@ package info
 import (
 	"math"
 )
-
-// Dist is an empirical distribution over string-keyed outcomes.
-type Dist map[string]float64
-
-// Entropy returns the Shannon entropy (bits) of an empirical count map.
-func Entropy(counts map[string]int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
-	}
-	return h
-}
 
 // Sample is one observation of the triple (X, Y, Z): for protocol analysis
 // X and Y are the players' inputs and Z the transcript (all serialized to
@@ -98,25 +75,6 @@ func InternalCost(samples []Sample) float64 {
 	yf := func(s Sample) string { return s.Y }
 	zf := func(s Sample) string { return s.Z }
 	return CondMutualInfo(samples, xf, yf, zf) + CondMutualInfo(samples, yf, xf, zf)
-}
-
-// ChernoffUpper bounds P(|X − E[X]| > ε·E[X]) for a sum X of independent
-// [0,1] variables (Proposition 2.1): 2·exp(−ε²·E[X]/2).
-func ChernoffUpper(mean, eps float64) float64 {
-	if mean <= 0 {
-		return 1
-	}
-	if eps < 0 {
-		eps = -eps
-	}
-	if eps > 1 {
-		eps = 1
-	}
-	b := 2 * math.Exp(-eps*eps*mean/2)
-	if b > 1 {
-		return 1
-	}
-	return b
 }
 
 // Lemma22Bound returns the failure probability bound of Lemma 2.2: for k

@@ -8,22 +8,6 @@ import (
 	"streamcover/internal/rng"
 )
 
-func TestEntropy(t *testing.T) {
-	if h := Entropy(map[string]int{}); h != 0 {
-		t.Fatalf("empty entropy = %v", h)
-	}
-	if h := Entropy(map[string]int{"a": 10}); h != 0 {
-		t.Fatalf("deterministic entropy = %v", h)
-	}
-	if h := Entropy(map[string]int{"a": 5, "b": 5}); math.Abs(h-1) > 1e-12 {
-		t.Fatalf("fair coin entropy = %v, want 1", h)
-	}
-	h := Entropy(map[string]int{"a": 1, "b": 1, "c": 1, "d": 1})
-	if math.Abs(h-2) > 1e-12 {
-		t.Fatalf("uniform-4 entropy = %v, want 2", h)
-	}
-}
-
 func TestMutualInfoIndependent(t *testing.T) {
 	r := rng.New(1)
 	var samples []Sample
@@ -97,24 +81,6 @@ func TestInternalCostSilentProtocol(t *testing.T) {
 	}
 	if ic := InternalCost(samples); ic > 0.01 {
 		t.Fatalf("silent protocol internal cost = %v, want ≈0", ic)
-	}
-}
-
-func TestChernoffUpper(t *testing.T) {
-	if b := ChernoffUpper(0, 0.5); b != 1 {
-		t.Fatalf("degenerate bound %v", b)
-	}
-	b := ChernoffUpper(1000, 0.1)
-	want := 2 * math.Exp(-0.01*1000/2)
-	if math.Abs(b-want) > 1e-12 {
-		t.Fatalf("bound %v want %v", b, want)
-	}
-	if b := ChernoffUpper(1, 0.01); b != 1 {
-		t.Fatalf("bound should clamp to 1, got %v", b)
-	}
-	// Monotone: larger mean ⇒ smaller bound.
-	if ChernoffUpper(10000, 0.1) >= ChernoffUpper(100, 0.1) {
-		t.Fatal("bound not monotone in mean")
 	}
 }
 

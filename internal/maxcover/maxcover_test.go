@@ -81,54 +81,6 @@ func TestSampledDefaults(t *testing.T) {
 	}
 }
 
-func TestSieveHalfApprox(t *testing.T) {
-	r := rng.New(7)
-	for trial := 0; trial < 10; trial++ {
-		inst := setsystem.Uniform(r, 500, 40, 20, 120)
-		k := 3
-		_, optCov, err := offline.MaxCoverExact(inst, k, offline.ExactConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sv := NewSieve(inst.N, k, 0.1)
-		runOnce(t, inst, sv)
-		chosen, _ := sv.Result()
-		if len(chosen) > k {
-			t.Fatalf("sieve chose %d > k", len(chosen))
-		}
-		got := inst.CoverageOf(chosen)
-		if float64(got) < (0.5-0.1-0.02)*float64(optCov) {
-			t.Fatalf("trial %d: sieve coverage %d < (1/2−ε)·opt (%d)", trial, got, optCov)
-		}
-	}
-}
-
-func TestSieveSinglePass(t *testing.T) {
-	inst := setsystem.Uniform(rng.New(8), 300, 30, 10, 60)
-	sv := NewSieve(inst.N, 2, 0.2)
-	acc := runOnce(t, inst, sv)
-	if acc.Passes != 1 {
-		t.Fatalf("sieve passes = %d", acc.Passes)
-	}
-}
-
-func TestSieveEmptyStream(t *testing.T) {
-	inst := &setsystem.Instance{N: 10}
-	sv := NewSieve(10, 2, 0.1)
-	runOnce(t, inst, sv)
-	chosen, cov := sv.Result()
-	if len(chosen) != 0 || cov != 0 {
-		t.Fatalf("empty stream: %v %d", chosen, cov)
-	}
-}
-
-func TestSieveDefaults(t *testing.T) {
-	sv := NewSieve(10, 0, 2)
-	if sv.k != 1 || sv.eps != 0.1 {
-		t.Fatalf("defaults not applied: k=%d eps=%v", sv.k, sv.eps)
-	}
-}
-
 func TestSampledGreedyMode(t *testing.T) {
 	inst := setsystem.Uniform(rng.New(9), 1000, 60, 50, 200)
 	a := NewSampledKCover(inst.N, inst.M(), SampledConfig{K: 4, Eps: 0.1, Exact: false}, rng.New(10))

@@ -12,7 +12,6 @@ package offline
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"streamcover/internal/bitset"
 	"streamcover/internal/setsystem"
@@ -189,9 +188,6 @@ func (h gainHeap) down(i int) {
 
 // ExactConfig controls the branch-and-bound search.
 type ExactConfig struct {
-	// MaxSize bounds the cover size searched for; 0 means "no better bound
-	// than greedy's" (the solver derives one).
-	MaxSize int
 	// NodeBudget bounds the number of search nodes; 0 means a default of
 	// 50 million, which is ample for the sampled sub-instances Algorithm 1
 	// produces. The search returns ErrBudget when exceeded.
@@ -309,11 +305,7 @@ func exactOn(in *setsystem.Instance, cfg ExactConfig) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	upper := len(greedy)
-	if cfg.MaxSize > 0 && cfg.MaxSize < upper {
-		upper = cfg.MaxSize
-	}
-	for k := lowerBound(in); k <= upper; k++ {
+	for k := lowerBound(in); k <= len(greedy); k++ {
 		cover, ok, err := d.coverAtMost(k)
 		if err != nil {
 			return nil, err
@@ -321,11 +313,6 @@ func exactOn(in *setsystem.Instance, cfg ExactConfig) ([]int, error) {
 		if ok {
 			return cover, nil
 		}
-	}
-	if cfg.MaxSize > 0 && cfg.MaxSize < len(greedy) {
-		// Greedy beat the cap but the cap was exhausted: no ≤-cap answer
-		// exists.
-		return nil, fmt.Errorf("offline: no cover of size ≤ %d exists (greedy found %d)", cfg.MaxSize, len(greedy))
 	}
 	return greedy, nil
 }

@@ -137,34 +137,6 @@ func (r *RNG) KSubset(n, k int) []int {
 	return out
 }
 
-// Binomial returns a sample from Binomial(n, p). It uses direct simulation
-// for small n·p and a BTRS-free inversion with exponential waiting times for
-// sparse cases, keeping dependencies stdlib-only.
-func (r *RNG) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if p > 0.5 {
-		return n - r.Binomial(n, 1-p)
-	}
-	// Geometric skipping: expected work O(n·p).
-	count := 0
-	i := 0
-	logq := math.Log1p(-p)
-	for {
-		// Number of failures before the next success.
-		skip := int(math.Floor(math.Log(1-r.Float64()) / logq))
-		i += skip + 1
-		if i > n {
-			return count
-		}
-		count++
-	}
-}
-
 // SampleEach returns the sorted subset of [0, n) where each element is
 // included independently with probability p.
 func (r *RNG) SampleEach(n int, p float64) []int {

@@ -151,43 +151,6 @@ func TestKSubsetUniformMarginals(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := New(23)
-	cases := []struct {
-		n int
-		p float64
-	}{{100, 0.1}, {1000, 0.01}, {50, 0.5}, {200, 0.9}}
-	for _, c := range cases {
-		const trials = 20000
-		sum, sumsq := 0.0, 0.0
-		for i := 0; i < trials; i++ {
-			v := float64(r.Binomial(c.n, c.p))
-			sum += v
-			sumsq += v * v
-		}
-		mean := sum / trials
-		wantMean := float64(c.n) * c.p
-		wantSD := math.Sqrt(wantMean * (1 - c.p))
-		if math.Abs(mean-wantMean) > 6*wantSD/math.Sqrt(trials)+0.05 {
-			t.Errorf("Binomial(%d,%v) mean = %v, want %v", c.n, c.p, mean, wantMean)
-		}
-		variance := sumsq/trials - mean*mean
-		if wantVar := wantMean * (1 - c.p); math.Abs(variance-wantVar) > 0.2*wantVar+0.1 {
-			t.Errorf("Binomial(%d,%v) var = %v, want %v", c.n, c.p, variance, wantVar)
-		}
-	}
-}
-
-func TestBinomialEdgeCases(t *testing.T) {
-	r := New(29)
-	if r.Binomial(0, 0.5) != 0 || r.Binomial(10, 0) != 0 {
-		t.Fatal("degenerate binomial not 0")
-	}
-	if r.Binomial(10, 1) != 10 {
-		t.Fatal("Binomial(10,1) != 10")
-	}
-}
-
 func TestSampleEachRate(t *testing.T) {
 	r := New(31)
 	const n, trials = 1000, 200

@@ -1,9 +1,7 @@
-//go:build !(linux || darwin || freebsd || netbsd || openbsd || dragonfly)
+//go:build !linux
 
 package setsystem
 
-// madviseAvailable reports that this build has no madvise; Advise is a
-// silent no-op (hints are optional by definition).
-const madviseAvailable = false
-
+// madviseData is a silent no-op off Linux: hints are optional by
+// definition, so Advise stays best-effort.
 func madviseData(_ []byte, _ Advice) error { return nil }

@@ -43,7 +43,7 @@ func (in *Instance) Backing() Backing { return in.backing }
 func (in *Instance) MappedBytes() int64 { return in.mappedBytes }
 
 // Advice is an access-pattern hint for the pages backing a mapped
-// instance, forwarded to the kernel via madvise where available.
+// instance, forwarded to the kernel via madvise on Linux.
 type Advice int
 
 const (
@@ -60,7 +60,7 @@ const (
 
 // Advise passes an access-pattern hint for the instance's mapped pages to
 // the kernel. It is a no-op (and nil) on heap-backed or already-unmapped
-// instances and on platforms without madvise: hints are best-effort by
+// instances and on every OS but Linux: hints are best-effort by
 // definition, so callers typically ignore the error.
 func (in *Instance) Advise(a Advice) error {
 	if in.mapData == nil {
@@ -68,10 +68,6 @@ func (in *Instance) Advise(a Advice) error {
 	}
 	return madviseData(in.mapData, a)
 }
-
-// AdviseSupported reports whether Advise reaches a real madvise on this
-// build.
-func AdviseSupported() bool { return madviseAvailable }
 
 // Unmap releases the mapping behind a mapped instance and invalidates it:
 // the CSR views are nilled so later use fails fast instead of touching

@@ -34,10 +34,6 @@ func OpenMapped(path string) (*MappedFileStream, error) {
 	}, nil
 }
 
-// Instance exposes the backing instance (mapped, or the heap fallback);
-// it is valid until Close.
-func (ms *MappedFileStream) Instance() *setsystem.Instance { return ms.inst }
-
 // Err implements Failer. A mapped pass cannot fail mid-pass: the file was
 // fully validated at open and the kernel pages it in on demand.
 func (ms *MappedFileStream) Err() error { return nil }
