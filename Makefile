@@ -18,9 +18,10 @@ BENCH_JSON ?= BENCH_masks.json
 # The committed baseline the bench-compare target diffs against (recorded
 # by the CSR data-plane PR, before the word-parallel observe plane).
 BENCH_BASELINE ?= BENCH_csr.json
-# The pre-bit-slicing recording (per-guess strided probe loops), re-recorded
-# on the same machine as BENCH_JSON so the grid-kernel delta artifact is a
-# same-box comparison.
+# The pre-bit-slicing recording (per-guess strided probe loops), frozen. It
+# was not recorded on the same machine as BENCH_JSON (their cpu lines and
+# dates differ), so only the allocs/op columns of the grid-kernel delta
+# artifact compare; its ns/op columns mix a box change with the code change.
 BENCH_GRID_BASELINE ?= BENCH_masks_scalar.json
 
 # Dataset-plane load benchmarks: decoding SCB1 vs mmap-opening SCB2 (the
@@ -37,7 +38,7 @@ REPLAY_BENCH_PATTERN ?= BenchmarkSolveFileReplay|BenchmarkPassOverhead
 REPLAY_BENCH_JSON ?= BENCH_replay.json
 # The frozen recording from the PR that introduced the replay plane,
 # the committed reference bench-compare diffs fresh recordings against
-# (same convention as BENCH_masks_scalar.json for the grid kernels).
+# (frozen, as BENCH_masks_scalar.json is for the grid kernels).
 REPLAY_BENCH_BASELINE ?= BENCH_replay_base.json
 
 # Observability-plane benchmarks: the same scheduler solve with the request

@@ -1,10 +1,12 @@
 // Command commsim runs the two-party communication simulations behind the
 // paper's lower bounds: the streaming→communication compiler of Theorem 1,
-// and the Lemma 3.4 / Lemma 4.5 reduction protocols.
+// the sampled D_SC protocol of Theorem 3, and the Lemma 3.4 / Lemma 4.5
+// reduction protocols.
 //
 // Usage:
 //
 //	commsim -mode streaming -n 4096 -m 2048       # bits vs α, vs full exchange
+//	commsim -mode setcover -trials 20             # D_SC protocol: bits vs success per sample size
 //	commsim -mode disj -trials 20                 # π_Disj from a set cover oracle
 //	commsim -mode ghd -trials 20                  # π_GHD from a max coverage oracle
 package main
@@ -23,12 +25,15 @@ import (
 	"streamcover/internal/setsystem"
 )
 
+// modes names every -mode value.
+const modes = "streaming, setcover, disj, or ghd"
+
 func main() {
 	var (
-		mode   = flag.String("mode", "streaming", "streaming, disj, or ghd")
+		mode   = flag.String("mode", "streaming", modes)
 		n      = flag.Int("n", 4096, "universe size (streaming mode)")
-		m      = flag.Int("m", 2048, "number of sets / pairs")
-		trials = flag.Int("trials", 20, "trials (disj/ghd modes)")
+		m      = flag.Int("m", 2048, "number of sets / pairs (streaming mode)")
+		trials = flag.Int("trials", 20, "trials (setcover/disj/ghd modes)")
 		seed   = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
@@ -43,7 +48,7 @@ func main() {
 	case "ghd":
 		ghdMode(*trials, *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "commsim: unknown -mode %q\n", *mode)
+		fmt.Fprintf(os.Stderr, "commsim: unknown -mode %q (want %s)\n", *mode, modes)
 		os.Exit(2)
 	}
 }
@@ -140,8 +145,8 @@ func ghdMode(trials int, seed uint64) {
 	t1 := p.T1()
 	r := rng.New(seed)
 	oracle := func(inst *setsystem.Instance, threshold float64) (bool, error) {
-		_, _, cov := offline.MaxCoverPair(inst)
-		return float64(cov) > threshold, nil
+		_, cov, err := offline.MaxCoverExact(inst, 2, offline.ExactConfig{})
+		return float64(cov) > threshold, err
 	}
 	correct := 0
 	for i := 0; i < trials; i++ {

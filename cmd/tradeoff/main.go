@@ -1,4 +1,4 @@
-// Command tradeoff runs the reproduction experiments (E1–E12 in DESIGN.md)
+// Command tradeoff runs the reproduction experiments (E1–E14 in DESIGN.md)
 // and prints their tables; EXPERIMENTS.md is generated from its output.
 //
 // Usage:
@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiment IDs (E1..E12) or 'all'")
+		exp     = flag.String("exp", "all", "comma-separated experiment IDs ("+strings.Join(experiments.IDs(), ", ")+") or 'all'")
 		seed    = flag.Uint64("seed", 20170601, "random seed (tables are deterministic per seed)")
 		quick   = flag.Bool("quick", false, "reduced sizes and trial counts")
 		format  = flag.String("format", "md", "output format: md or csv")

@@ -99,6 +99,7 @@ type cell struct {
 // under each grid-kernel body, which makes it the kernel column.
 func TestConformance(t *testing.T) {
 	small, _ := streamcover.GeneratePlanted(4, 256, 64, 4)
+	uniform := streamcover.GenerateUniform(13, 2048, 256, 64, 512)
 	var rows []row
 	for _, algo := range catalog.Algos {
 		for _, order := range catalog.Orders {
@@ -121,6 +122,13 @@ func TestConformance(t *testing.T) {
 	rows = append(rows,
 		row{inst: small, req: catalog.Request{Seed: 5, SampleConstant: 2, GreedySubsolver: true}},
 		row{inst: small, req: catalog.Request{Algo: "maxcover", K: 8, Seed: 3, GreedySubsolver: true}},
+		// At ε 0.5 the sample is 177 (k 2) or 354 (k 4) of 2,048 elements,
+		// so the seed reaches the result; at the default ε 0.1 every
+		// maxcover row above samples the whole universe.
+		row{inst: uniform, req: catalog.Request{Algo: "maxcover", K: 2, Epsilon: 0.5, Seed: 3},
+			golden: &catalog.Result{Cover: []int{60, 137}, Covered: 878, Passes: 1, SpaceWords: 6841}},
+		row{inst: uniform, req: catalog.Request{Algo: "maxcover", K: 4, Epsilon: 0.5, Seed: 3, GreedySubsolver: true},
+			golden: &catalog.Result{Cover: []int{21, 37, 177, 184}, Covered: 1365, Passes: 1, SpaceWords: 13240}},
 		row{inst: streamcover.GenerateUniform(5, 512, 128, 32, 96), req: catalog.Request{Algo: "progressive"},
 			golden: &catalog.Result{Cover: []int{4, 5, 6, 7, 8, 9, 11, 13, 14, 18, 19, 23, 25, 30, 37, 40, 41, 44, 51, 54, 65, 109},
 				Passes: 8, SpaceWords: 534}},

@@ -74,34 +74,24 @@ func (g *ProgressiveGreedy) BeginPass(pass int) {
 	}
 }
 
-// Observe implements stream.PassAlgorithm: when a grid driver attached the
-// item's shared run list, probing costs one AND+popcount per occupied word;
-// an unshared item keeps the scalar loop (building runs for one consumer
-// costs more than one probe loop).
+// Observe implements stream.PassAlgorithm. The baseline always runs alone,
+// so its items carry no shared run list and it probes element by element.
 func (g *ProgressiveGreedy) Observe(item stream.Item) {
 	if g.done || g.uCount == 0 {
 		return
 	}
 	cnt := 0
-	if item.Runs != nil {
-		cnt = g.u.AndCountRuns(item.Runs)
-	} else {
-		for _, e := range item.Elems {
-			if g.u.Has(int(e)) {
-				cnt++
-			}
+	for _, e := range item.Elems {
+		if g.u.Has(int(e)) {
+			cnt++
 		}
 	}
 	if cnt > 0 && float64(cnt) >= g.threshold {
 		g.sol = append(g.sol, item.ID)
-		if item.Runs != nil {
-			g.uCount -= g.u.AndNotRuns(item.Runs)
-		} else {
-			for _, e := range item.Elems {
-				if g.u.Has(int(e)) {
-					g.u.Clear(int(e))
-					g.uCount--
-				}
+		for _, e := range item.Elems {
+			if g.u.Has(int(e)) {
+				g.u.Clear(int(e))
+				g.uCount--
 			}
 		}
 	}

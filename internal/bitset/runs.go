@@ -63,22 +63,6 @@ func RunsLen(runs []Run) int {
 	return c
 }
 
-// RunsHave reports whether element e is in the run list (binary search on
-// the Word column, then a mask test).
-func RunsHave(runs []Run, e int) bool {
-	w := int32(e >> 6)
-	lo, hi := 0, len(runs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if runs[mid].Word < w {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(runs) && runs[lo].Word == w && runs[lo].Mask&(1<<(uint(e)&63)) != 0
-}
-
 // AndCountRuns returns |b ∩ runs| without modifying b: one AND+popcount per
 // occupied word. The runs must fit within b's capacity (they do whenever
 // they were built from elements of the same universe); out-of-range words

@@ -46,14 +46,8 @@ func TestRunKernelsMatchScalar(t *testing.T) {
 			t.Fatalf("trial %d: run list does not round-trip: got %v want %v", trial, got, elems)
 		}
 
-		// RunsHave == scalar membership for every universe element.
 		set := New(n)
 		set.SetAll(elems)
-		for e := 0; e < n; e++ {
-			if RunsHave(runs, e) != set.Has(e) {
-				t.Fatalf("trial %d: RunsHave(%d)=%v, scalar says %v", trial, e, RunsHave(runs, e), set.Has(e))
-			}
-		}
 
 		// A random bitset to probe against.
 		b := New(n)
@@ -103,9 +97,6 @@ func TestRunKernelsEmpty(t *testing.T) {
 	}
 	if got := b.AndRunsAppend(nil, nil); len(got) != 0 {
 		t.Fatalf("AndRunsAppend with empty runs = %v", got)
-	}
-	if RunsHave(nil, 5) {
-		t.Fatal("RunsHave on empty run list must be false")
 	}
 }
 

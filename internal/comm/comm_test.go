@@ -154,8 +154,8 @@ func TestSolveDisjViaSetCoverWrongUniverse(t *testing.T) {
 
 // pairOracle decides opt > threshold exactly for k=2.
 func pairOracle(inst *setsystem.Instance, threshold float64) (bool, error) {
-	_, _, cov := offline.MaxCoverPair(inst)
-	return float64(cov) > threshold, nil
+	_, cov, err := offline.MaxCoverExact(inst, 2, offline.ExactConfig{})
+	return float64(cov) > threshold, err
 }
 
 func TestSolveGHDViaMaxCover(t *testing.T) {

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"streamcover/internal/hardinst"
 	"streamcover/internal/rng"
@@ -64,7 +65,7 @@ func (p SampledDisj) Run(d hardinst.Disj, r *rng.RNG, tr *Transcript) bool {
 	tr.Append(EncodeIntSet(sample), SetBits(d.T, len(sample)))
 	hit := false
 	for _, e := range sample {
-		if containsSorted(d.B, e) {
+		if _, in := slices.BinarySearch(d.B, e); in {
 			hit = true
 			break
 		}
@@ -90,17 +91,4 @@ func (SilentDisj) Name() string { return "silent" }
 func (SilentDisj) Run(_ hardinst.Disj, _ *rng.RNG, tr *Transcript) bool {
 	tr.Append("0", 1)
 	return false
-}
-
-func containsSorted(s []int, v int) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == v
 }

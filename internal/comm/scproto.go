@@ -2,7 +2,7 @@ package comm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"streamcover/internal/hardinst"
 	"streamcover/internal/rng"
@@ -41,24 +41,19 @@ func (p SampledSetCover) Run(sc *hardinst.SetCoverInstance, part hardinst.Partit
 		if !part[a] {
 			aliceSet, bobSet = b, a
 		}
-		elemsA := sc.Inst.Set(aliceSet)
-		want := p.PerPair
-		if comp := n - len(elemsA); want > comp {
-			want = comp
-		}
-		if want <= 0 {
+		sample := r.SampleComplement(n, sc.Inst.Set(aliceSet), p.PerPair)
+		if len(sample) == 0 {
 			// Alice's set covers the universe alone: certain θ=1 evidence.
 			tr.Append(fmt.Sprintf("p%d:full", i), 1)
 			zeroHit = true
 			continue
 		}
-		sample := sampleComplementSorted(elemsA, n, want, r)
 		tr.Append(fmt.Sprintf("p%d:%s", i, EncodeIntSet(sample)), SetBits(n, len(sample)))
 		// Bob: count samples missing from his set too (complement collisions).
 		hits := 0
 		bobElems := sc.Inst.Set(bobSet)
 		for _, e := range sample {
-			if !containsSortedView(bobElems, e) {
+			if _, in := slices.BinarySearch(bobElems, int32(e)); !in {
 				hits++
 			}
 		}
@@ -73,31 +68,4 @@ func (p SampledSetCover) Run(sc *hardinst.SetCoverInstance, part hardinst.Partit
 	}
 	tr.Append("theta=0", 1)
 	return 0
-}
-
-// sampleComplementSorted returns `want` uniform distinct elements of
-// [0,n) \ elems (a sorted arena view), sorted, via complement-position
-// sampling.
-func sampleComplementSorted(elems []int32, n, want int, r *rng.RNG) []int {
-	positions := r.KSubset(n-len(elems), want)
-	out := make([]int, 0, want)
-	pi, pos, ei := 0, 0, 0
-	for e := 0; e < n && pi < len(positions); e++ {
-		if ei < len(elems) && int(elems[ei]) == e {
-			ei++
-			continue
-		}
-		if pos == positions[pi] {
-			out = append(out, e)
-			pi++
-		}
-		pos++
-	}
-	return out
-}
-
-// containsSortedView reports whether the sorted arena view s contains v.
-func containsSortedView(s []int32, v int) bool {
-	i := sort.Search(len(s), func(i int) bool { return int(s[i]) >= v })
-	return i < len(s) && int(s[i]) == v
 }

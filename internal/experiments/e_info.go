@@ -43,9 +43,15 @@ func E6MaxCoverGap(cfg Config) (*Table, error) {
 		var tau float64
 		for i := 0; i < trials; i++ {
 			mc1 := hardinst.SampleMaxCover(p, 1, r.Split(fmt.Sprintf("1-%v-%d", eps, i)))
-			_, _, cov1 := offline.MaxCoverPair(mc1.Inst)
+			_, cov1, err := offline.MaxCoverExact(mc1.Inst, 2, offline.ExactConfig{})
+			if err != nil {
+				return nil, err
+			}
 			mc0 := hardinst.SampleMaxCover(p, 0, r.Split(fmt.Sprintf("0-%v-%d", eps, i)))
-			_, _, cov0 := offline.MaxCoverPair(mc0.Inst)
+			_, cov0, err := offline.MaxCoverExact(mc0.Inst, 2, offline.ExactConfig{})
+			if err != nil {
+				return nil, err
+			}
 			tau = mc1.Tau
 			r1 := float64(cov1) / mc1.Tau
 			r0 := float64(cov0) / mc0.Tau
@@ -229,8 +235,8 @@ func E12Reductions(cfg Config) (*Table, error) {
 	t.AddRow("Disj via SetCover (Lemma 3.4)", trials, correct, float64(correct)/float64(trials))
 
 	mcOracle := func(inst *setsystem.Instance, threshold float64) (bool, error) {
-		_, _, cov := offline.MaxCoverPair(inst)
-		return float64(cov) > threshold, nil
+		_, cov, err := offline.MaxCoverExact(inst, 2, offline.ExactConfig{})
+		return float64(cov) > threshold, err
 	}
 	mcP := hardinst.MCParams{Eps: 1.0 / 8, M: 5}
 	t1 := mcP.T1()
@@ -254,6 +260,6 @@ func E12Reductions(cfg Config) (*Table, error) {
 	}
 	t.AddRow("GHD via MaxCover (Lemma 4.5)", trials, correct, float64(correct)/float64(trials))
 	t.Notes = append(t.Notes,
-		"oracles are exact (OptAtMost / MaxCoverPair): failures can only come from the embedding distribution itself")
+		"oracles are exact (OptAtMost / MaxCoverExact): failures can only come from the embedding distribution itself")
 	return t, nil
 }

@@ -145,7 +145,7 @@ func E7BaselineComparison(cfg Config) (*Table, error) {
 			return nil
 		}
 		t.AddRow(name, acc.Passes, len(cover), float64(len(cover))/float64(len(planted)),
-			acc.PeakSpace, maxInt(acc.PeakSpace-inst.N, 0))
+			acc.PeakSpace, max(acc.PeakSpace-inst.N, 0))
 		return nil
 	}
 
@@ -277,16 +277,9 @@ func E11Ablations(cfg Config) (*Table, error) {
 		}
 		res := run.Result()
 		t.AddRow(v.name, acc.Passes, len(res.Cover), acc.PeakSpace,
-			maxInt(acc.PeakSpace-inst.N, 0), res.Feasible)
+			max(acc.PeakSpace-inst.N, 0), res.Feasible)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("n=%d m=%d planted opt=%d, correct õpt guess, ε=0.5", n, m, opt))
 	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,5 +1,5 @@
 // Package experiments contains the reproduction harness: one driver per
-// experiment in DESIGN.md's per-experiment index (E1–E12), each producing a
+// experiment in DESIGN.md's per-experiment index (E1–E14), each producing a
 // Table that cmd/tradeoff renders and EXPERIMENTS.md records.
 //
 // The paper is a theory paper with no empirical tables; every experiment

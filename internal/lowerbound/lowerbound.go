@@ -19,32 +19,11 @@
 package lowerbound
 
 import (
-	"sort"
+	"slices"
 
-	"streamcover/internal/bitset"
 	"streamcover/internal/rng"
 	"streamcover/internal/stream"
 )
-
-// contains reports whether the sorted arena view s contains v (binary
-// search over the stream item's int32 elements, no conversion copy).
-func contains(s []int32, v int) bool {
-	i := sort.Search(len(s), func(i int) bool { return int(s[i]) >= v })
-	return i < len(s) && int(s[i]) == v
-}
-
-// itemHas reports whether the item contains element e. When a driver
-// prefilled the item's word-mask run list (the parallel and lockstep
-// drivers both do), membership is a binary search over the much shorter
-// run list; otherwise it falls back to binary search over the elements —
-// building runs just for a handful of membership probes would cost more
-// than it saves.
-func itemHas(item stream.Item, e int) bool {
-	if item.Runs != nil {
-		return bitset.RunsHave(item.Runs, e)
-	}
-	return contains(item.Elems, e)
-}
 
 // SCConfig configures the set cover θ-distinguisher.
 type SCConfig struct {
@@ -142,7 +121,7 @@ func (d *SCDistinguisher) Observe(item stream.Item) {
 		// are also missing from this side — collisions witness f(A∩B) ≠ ∅.
 		hits := 0
 		for _, e := range samp {
-			if !itemHas(item, e) {
+			if _, in := slices.BinarySearch(item.Elems, int32(e)); !in {
 				hits++
 			}
 		}
@@ -155,19 +134,14 @@ func (d *SCDistinguisher) Observe(item stream.Item) {
 		return
 	}
 	// First side: retain up to perPair uniform elements of the complement.
-	want := d.perPair
-	comp := d.n - len(item.Elems)
-	if comp <= 0 {
+	samp := d.r.SampleComplement(d.n, item.Elems, d.perPair)
+	if len(samp) == 0 {
 		// The set is the whole universe: its pair trivially covers; treat as
 		// a zero-hit witness (opt = 2 via this set alone plus anything).
 		d.zeroHit = true
 		d.checked[pair] = true
 		return
 	}
-	if want > comp {
-		want = comp
-	}
-	samp := sampleComplement(item.Elems, d.n, want, d.r)
 	d.samples[pair] = samp
 	d.sampWords += len(samp)
 }
@@ -270,7 +244,7 @@ func (d *MCDistinguisher) handles(pair int) bool {
 
 // u1Prefix returns the portion of a sorted set view within U1 = [0, t1).
 func (d *MCDistinguisher) u1Prefix(elems []int32) []int32 {
-	hi := sort.Search(len(elems), func(i int) bool { return int(elems[i]) >= d.cfg.T1 })
+	hi, _ := slices.BinarySearch(elems, int32(d.cfg.T1))
 	return elems[:hi]
 }
 
@@ -288,7 +262,7 @@ func (d *MCDistinguisher) Observe(item stream.Item) {
 		// membership in the full set equals membership in its U1 prefix.
 		hits := 0
 		for _, e := range samp {
-			if itemHas(item, e) {
+			if _, in := slices.BinarySearch(item.Elems, int32(e)); in {
 				hits++
 			}
 		}
@@ -337,42 +311,4 @@ func (d *MCDistinguisher) Decide() int {
 		return 1
 	}
 	return 0
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// sampleComplement returns `want` uniform distinct elements of
-// [0,n) \ elems, where elems is a sorted arena view. It draws the
-// complement positions with KSubset and resolves them by walking the gaps
-// of elems, so no complement materialization or rejection loop is needed.
-func sampleComplement(elems []int32, n, want int, r *rng.RNG) []int {
-	comp := n - len(elems)
-	if want > comp {
-		want = comp
-	}
-	if want <= 0 {
-		return nil
-	}
-	positions := r.KSubset(comp, want) // sorted positions within the complement
-	out := make([]int, 0, want)
-	pi := 0  // next wanted position
-	pos := 0 // complement positions consumed so far
-	ei := 0  // pointer into elems
-	for e := 0; e < n && pi < len(positions); e++ {
-		if ei < len(elems) && int(elems[ei]) == e {
-			ei++
-			continue
-		}
-		if pos == positions[pi] {
-			out = append(out, e)
-			pi++
-		}
-		pos++
-	}
-	return out
 }

@@ -2,62 +2,12 @@ package lowerbound
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"streamcover/internal/hardinst"
 	"streamcover/internal/rng"
 	"streamcover/internal/stream"
 )
-
-func TestSampleComplement(t *testing.T) {
-	r := rng.New(1)
-	elems := []int32{1, 3, 5, 7}
-	for trial := 0; trial < 100; trial++ {
-		s := sampleComplement(elems, 10, 4, r)
-		if len(s) != 4 {
-			t.Fatalf("sample size %d", len(s))
-		}
-		seen := map[int]bool{}
-		for _, e := range s {
-			if e < 0 || e >= 10 || e == 1 || e == 3 || e == 5 || e == 7 {
-				t.Fatalf("sampled %d not in complement", e)
-			}
-			if seen[e] {
-				t.Fatalf("duplicate sample %d", e)
-			}
-			seen[e] = true
-		}
-	}
-	// want > complement size: capped.
-	if s := sampleComplement([]int32{0, 1, 2}, 5, 10, r); len(s) != 2 {
-		t.Fatalf("capped sample = %v", s)
-	}
-	// full set: empty sample.
-	if s := sampleComplement([]int32{0, 1, 2}, 3, 5, r); len(s) != 0 {
-		t.Fatalf("full-set sample = %v", s)
-	}
-}
-
-func TestSampleComplementUniform(t *testing.T) {
-	r := rng.New(2)
-	elems := []int32{2, 4}
-	counts := map[int]int{}
-	const trials = 30000
-	for i := 0; i < trials; i++ {
-		for _, e := range sampleComplement(elems, 6, 1, r) {
-			counts[e]++
-		}
-	}
-	// Complement {0,1,3,5}: each ≈ trials/4.
-	for _, e := range []int{0, 1, 3, 5} {
-		got := float64(counts[e])
-		want := trials / 4.0
-		if math.Abs(got-want) > 6*math.Sqrt(want) {
-			t.Errorf("element %d sampled %v times, want ≈%v", e, got, want)
-		}
-	}
-}
 
 // runSC streams a D_SC instance through a distinguisher and returns θ̂.
 func runSC(t *testing.T, sc *hardinst.SetCoverInstance, cfg SCConfig, order stream.Order, seed uint64) int {

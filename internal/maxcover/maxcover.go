@@ -13,9 +13,9 @@ package maxcover
 import (
 	"context"
 	"math"
-	"slices"
 	"sort"
 
+	"streamcover/internal/bitset"
 	"streamcover/internal/offline"
 	"streamcover/internal/rng"
 	"streamcover/internal/setsystem"
@@ -51,11 +51,12 @@ type SampledKCover struct {
 	n, m int
 	r    *rng.RNG
 
-	sample []int // sorted sampled universe elements
-	remap  map[int32]int32
+	sample  *bitset.Grid // the sampled universe elements, one lane
+	sampled int          // |sample|
 	// Stored projections in CSR form (flat arena + offsets), as in core.Run:
 	// the one-pass Observe path appends to flat slices instead of allocating
-	// a slice per projected set.
+	// a slice per projected set. Elements stay universe IDs until EndPass
+	// ranks them in the sample.
 	projIDs   []int
 	projOffs  []int
 	projElems []int32
@@ -101,36 +102,35 @@ func (a *SampledKCover) BeginPass(pass int) {
 	if pass != 0 {
 		return
 	}
-	a.sample = a.r.KSubset(a.n, a.SampleSize())
-	a.remap = make(map[int32]int32, len(a.sample))
-	for i, e := range a.sample {
-		a.remap[int32(e)] = int32(i)
+	sample := a.r.KSubset(a.n, a.SampleSize())
+	a.sample, a.sampled = bitset.NewGrid(a.n, 1), len(sample)
+	for _, e := range sample {
+		a.sample.Set(0, e)
 	}
 	a.projOffs = append(a.projOffs[:0], 0)
 }
 
-// Observe implements stream.PassAlgorithm.
+// Observe implements stream.PassAlgorithm: it stores the item's sampled
+// elements, in order.
 func (a *SampledKCover) Observe(item stream.Item) {
 	if a.done {
 		return
 	}
 	start := len(a.projElems)
-	for _, e := range item.Elems {
-		if idx, ok := a.remap[e]; ok {
-			a.projElems = append(a.projElems, idx)
-		}
-	}
+	a.projElems = a.sample.LaneFilterElemsAppend(0, a.projElems, item.Elems)
 	if len(a.projElems) > start {
-		slices.Sort(a.projElems[start:])
 		a.projIDs = append(a.projIDs, item.ID)
 		a.projOffs = append(a.projOffs, len(a.projElems))
 	}
 }
 
-// EndPass implements stream.PassAlgorithm: solves the sampled instance, a
+// EndPass implements stream.PassAlgorithm: it ranks the stored elements in
+// the sample, which compacts the sampled universe to [0, |sample|) and
+// keeps each projection sorted, and solves the sampled instance, a
 // zero-copy view of the flat projection arena.
 func (a *SampledKCover) EndPass() bool {
-	sub := setsystem.CSRView(len(a.sample), a.projOffs, a.projElems)
+	a.sample.LaneRankElems(0, a.projElems)
+	sub := setsystem.CSRView(a.sampled, a.projOffs, a.projElems)
 	var picked []int
 	if a.cfg.Exact {
 		chosen, _, err := offline.MaxCoverExact(sub, a.cfg.K, offline.ExactConfig{Context: a.cfg.Context})
@@ -154,7 +154,7 @@ func (a *SampledKCover) EndPass() bool {
 // Space implements stream.PassAlgorithm: the sample plus stored projections
 // (one word per retained set ID and element ID, as before the CSR layout).
 func (a *SampledKCover) Space() int {
-	return len(a.sample) + len(a.projIDs) + len(a.projElems) + len(a.chosen)
+	return a.sampled + len(a.projIDs) + len(a.projElems) + len(a.chosen)
 }
 
 // Result returns the chosen set IDs and any sub-solver error.

@@ -41,51 +41,6 @@ func MaxCoverGreedyWorkers(in *setsystem.Instance, k, workers int) ([]int, int) 
 	return chosen, total
 }
 
-// MaxCoverPair returns the best pair of sets (k=2 maximum coverage) and its
-// coverage, by exhaustive O(m²) bitset evaluation with a top-size pruning
-// bound. This is the evaluator for the paper's D_MC instances, where k=2.
-func MaxCoverPair(in *setsystem.Instance) (i, j, coverage int) {
-	m := in.M()
-	if m == 0 {
-		return -1, -1, 0
-	}
-	if m == 1 {
-		return 0, 0, in.SetLen(0)
-	}
-	sets := in.Bitsets()
-	sizes := make([]int, m)
-	for idx := range sizes {
-		sizes[idx] = in.SetLen(idx)
-	}
-	// Order by size descending for pruning: |Si ∪ Sj| ≤ |Si| + |Sj|.
-	order := make([]int, m)
-	for idx := range order {
-		order[idx] = idx
-	}
-	for a := 1; a < m; a++ { // insertion sort: m modest, keeps stdlib-only simplicity
-		for b := a; b > 0 && sizes[order[b]] > sizes[order[b-1]]; b-- {
-			order[b], order[b-1] = order[b-1], order[b]
-		}
-	}
-	best, bi, bj := -1, -1, -1
-	for a := 0; a < m; a++ {
-		ia := order[a]
-		if sizes[ia]+sizes[order[minInt(a+1, m-1)]] <= best && a+1 < m {
-			break // no remaining pair can beat best
-		}
-		for b := a + 1; b < m; b++ {
-			ib := order[b]
-			if sizes[ia]+sizes[ib] <= best {
-				break
-			}
-			if c := sets[ia].OrCount(sets[ib]); c > best {
-				best, bi, bj = c, ia, ib
-			}
-		}
-	}
-	return bi, bj, best
-}
-
 // MaxCoverExact returns an optimal k-coverage by branch-and-bound over set
 // choices with a greedy-completion upper bound. Intended for small k; it
 // returns ErrBudget if the node budget is exceeded.
@@ -209,11 +164,4 @@ func sumKLargest(sizes []int, k int) int {
 		total += s
 	}
 	return total
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

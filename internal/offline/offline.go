@@ -48,39 +48,29 @@ var ErrBudget = errors.New("offline: exact search exceeded its node budget")
 // It implements lazy (heap-based) evaluation, so the running time is
 // O(Σ|S_i| log m) rather than O(opt·m·n).
 func Greedy(in *setsystem.Instance) ([]int, error) {
-	return greedyOn(nil, in, nil, nil)
+	return greedyOn(nil, in, nil)
 }
 
 // GreedyContext is Greedy with cancellation: the selection loop polls ctx
 // periodically and returns ctx.Err() once it is done. A nil ctx never
 // cancels.
 func GreedyContext(ctx context.Context, in *setsystem.Instance) ([]int, error) {
-	return greedyOn(ctx, in, nil, nil)
-}
-
-// GreedyOn runs greedy covering only the target elements (nil means the full
-// universe). It returns ErrInfeasible if the target cannot be covered.
-func GreedyOn(in *setsystem.Instance, target *bitset.Bitset) ([]int, error) {
-	return greedyOn(nil, in, nil, target)
+	return greedyOn(ctx, in, nil)
 }
 
 // greedyOn is the lazy greedy behind every entry point. sets are the
 // instance's set bitsets when the caller already built them (CoverAtMost
 // shares one build with its search); nil builds them here.
-func greedyOn(ctx context.Context, in *setsystem.Instance, sets []*bitset.Bitset, target *bitset.Bitset) ([]int, error) {
+func greedyOn(ctx context.Context, in *setsystem.Instance, sets []*bitset.Bitset) ([]int, error) {
 	if err := pollCtx(ctx); err != nil {
 		return nil, err
 	}
-	uncovered := bitset.New(in.N)
-	if target == nil {
-		uncovered.Fill()
-	} else {
-		uncovered.CopyFrom(target)
-	}
-	remaining := uncovered.Count()
+	remaining := in.N
 	if remaining == 0 {
 		return nil, nil
 	}
+	uncovered := bitset.New(in.N)
+	uncovered.Fill()
 
 	if sets == nil {
 		sets = in.Bitsets()
@@ -227,7 +217,7 @@ type deepener struct {
 func (d *deepener) bound() ([]int, error) {
 	if d.sets == nil {
 		d.sets = d.in.Bitsets()
-		d.greedy, d.gerr = greedyOn(d.cfg.Context, d.in, d.sets, nil)
+		d.greedy, d.gerr = greedyOn(d.cfg.Context, d.in, d.sets)
 	}
 	return d.greedy, d.gerr
 }

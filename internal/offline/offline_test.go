@@ -3,11 +3,11 @@ package offline
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"streamcover/internal/bitset"
 	"streamcover/internal/rng"
 	"streamcover/internal/setsystem"
 )
@@ -47,25 +47,6 @@ func TestGreedyEmptyUniverse(t *testing.T) {
 	cover, err := Greedy(in)
 	if err != nil || len(cover) != 0 {
 		t.Fatalf("cover=%v err=%v", cover, err)
-	}
-}
-
-func TestGreedyOnTarget(t *testing.T) {
-	in := setsystem.FromSets(6, [][]int{{0, 1}, {2, 3}, {4, 5}})
-	target := bitset.FromSlice(6, []int{0, 5})
-	cover, err := GreedyOn(in, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := bitset.New(6)
-	for _, i := range cover {
-		got.SetAll(in.Set(i))
-	}
-	if !target.SubsetOf(got) {
-		t.Fatalf("target not covered by %v", cover)
-	}
-	if len(cover) != 2 {
-		t.Fatalf("cover = %v, want 2 sets", cover)
 	}
 }
 
@@ -217,24 +198,36 @@ func TestMaxCoverPair(t *testing.T) {
 		{4, 5, 6, 7},
 		{0, 1, 2, 3}, // with set 2: covers all 8
 	})
-	i, j, cov := MaxCoverPair(in)
-	if cov != 8 {
-		t.Fatalf("pair coverage %d, want 8 (pair %d,%d)", cov, i, j)
+	pair, cov, err := MaxCoverExact(in, 2, ExactConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pair := map[int]bool{i: true, j: true}
-	if !pair[2] || !pair[3] {
-		t.Fatalf("pair = (%d,%d), want {2,3}", i, j)
+	slices.Sort(pair)
+	if cov != 8 || !slices.Equal(pair, []int{2, 3}) {
+		t.Fatalf("pair = %v covering %d, want [2 3] covering 8", pair, cov)
 	}
 }
 
 func TestMaxCoverPairDegenerate(t *testing.T) {
-	if i, j, cov := MaxCoverPair(&setsystem.Instance{N: 5}); i != -1 || j != -1 || cov != 0 {
-		t.Fatalf("empty: %d %d %d", i, j, cov)
+	if pair, cov, err := MaxCoverExact(&setsystem.Instance{N: 5}, 2, ExactConfig{}); err != nil || len(pair) != 0 || cov != 0 {
+		t.Fatalf("empty: %v %d %v", pair, cov, err)
 	}
-	i, j, cov := MaxCoverPair(setsystem.FromSets(5, [][]int{{1, 2}}))
-	if cov != 2 || i != 0 || j != 0 {
-		t.Fatalf("single: %d %d %d", i, j, cov)
+	pair, cov, err := MaxCoverExact(setsystem.FromSets(5, [][]int{{1, 2}}), 2, ExactConfig{})
+	if err != nil || !slices.Equal(pair, []int{0}) || cov != 2 {
+		t.Fatalf("single: %v %d %v", pair, cov, err)
 	}
+}
+
+// pairScan is the exhaustive k = 2 reference: the best coverage of any
+// two sets.
+func pairScan(in *setsystem.Instance) int {
+	best := 0
+	for i := 0; i < in.M(); i++ {
+		for j := i + 1; j < in.M(); j++ {
+			best = max(best, in.CoverageOf([]int{i, j}))
+		}
+	}
+	return best
 }
 
 func TestMaxCoverExactMatchesPairAndBeatsGreedy(t *testing.T) {
@@ -243,12 +236,11 @@ func TestMaxCoverExactMatchesPairAndBeatsGreedy(t *testing.T) {
 		n := 10 + r.Intn(20)
 		m := 3 + r.Intn(10)
 		in := setsystem.Uniform(r, n, m, 1, n/2+1)
-		_, _, pairCov := MaxCoverPair(in)
 		exact, exactCov, err := MaxCoverExact(in, 2, ExactConfig{})
 		if err != nil {
 			return false
 		}
-		if exactCov != pairCov {
+		if exactCov != pairScan(in) {
 			return false
 		}
 		if got := in.CoverageOf(exact); got != exactCov {

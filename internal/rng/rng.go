@@ -137,6 +137,34 @@ func (r *RNG) KSubset(n, k int) []int {
 	return out
 }
 
+// SampleComplement returns want uniform distinct elements of [0, n) \ elems,
+// in increasing order, where elems is sorted and duplicate-free. want is
+// clamped to the complement's size. It draws the complement positions with
+// KSubset and resolves them by walking the gaps of elems, so the complement
+// is never materialized.
+func (r *RNG) SampleComplement(n int, elems []int32, want int) []int {
+	comp := n - len(elems)
+	want = min(want, comp)
+	if want <= 0 {
+		return nil
+	}
+	positions := r.KSubset(comp, want)
+	out := make([]int, 0, want)
+	pi, pos, ei := 0, 0, 0 // next wanted position, complement positions consumed, index into elems
+	for e := 0; e < n && pi < len(positions); e++ {
+		if ei < len(elems) && int(elems[ei]) == e {
+			ei++
+			continue
+		}
+		if pos == positions[pi] {
+			out = append(out, e)
+			pi++
+		}
+		pos++
+	}
+	return out
+}
+
 // SampleEach returns the sorted subset of [0, n) where each element is
 // included independently with probability p.
 func (r *RNG) SampleEach(n int, p float64) []int {
