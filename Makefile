@@ -1,7 +1,8 @@
 # Development targets, kept in lockstep with .github/workflows/ci.yml:
-# `make ci` runs exactly the checks CI runs, except the kernels job's AVX2
-# leg (a GOAMD64=v3 build, which needs a v3 CPU to run and so stays
-# CI-only).
+# `make ci` runs exactly the checks CI runs, except the kernels job (a
+# GOAMD64=v3 build, which needs a v3 CPU to run and so stays CI-only). Both
+# grid-kernel bodies run in `make test`: the conformance matrix switches
+# between them in process.
 
 GO ?= go
 
@@ -48,7 +49,7 @@ REPLAY_BENCH_BASELINE ?= BENCH_replay_base.json
 OBS_BENCH_PATTERN ?= BenchmarkSolveTracing
 OBS_BENCH_JSON ?= BENCH_obs.json
 
-.PHONY: all fmt fmt-check vet vet-cross build test test-scalar perfbench-check bench bench-json bench-compare serve-smoke import-smoke ci
+.PHONY: all fmt fmt-check vet vet-cross build test perfbench-check bench bench-json bench-compare serve-smoke import-smoke ci
 
 all: build
 
@@ -82,12 +83,6 @@ build:
 ## test: full test suite under the race detector
 test:
 	$(GO) test -race ./...
-
-## test-scalar: the kernels job's scalar leg — the race suite on a
-## baseline x86-64 build with the SIMD grid kernel switched off, so the
-## conformance matrix checks the scalar kernel body end to end
-test-scalar:
-	GOAMD64=v1 STREAMCOVER_KERNEL=scalar $(GO) test -race ./...
 
 ## perfbench-check: vet and test the nested perfbench module, which the
 ## root ./... patterns skip although it calls the driver and solver APIs
@@ -145,4 +140,4 @@ import-smoke:
 	bash scripts/import_smoke.sh
 
 ## ci: the full CI sequence, locally
-ci: fmt-check vet vet-cross build test test-scalar perfbench-check bench bench-json bench-compare serve-smoke import-smoke
+ci: fmt-check vet vet-cross build test perfbench-check bench bench-json bench-compare serve-smoke import-smoke

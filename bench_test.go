@@ -301,19 +301,3 @@ func BenchmarkSolveSetCoverGuessGrid(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSolveMaxCoverageParallel measures the streaming k-cover's greedy
-// sub-solve, whose per-round candidate gain scan fans out across workers.
-func BenchmarkSolveMaxCoverageParallel(b *testing.B) {
-	inst := GenerateUniform(2, 8192, 512, 256, 1024)
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := SolveMaxCoverage(inst, 8, WithSeed(7),
-					WithGreedySubsolver(), WithParallelism(w)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -10,10 +10,12 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"streamcover"
 	"streamcover/client"
+	"streamcover/internal/bitset"
 	"streamcover/internal/catalog"
 	"streamcover/internal/core"
 	"streamcover/internal/registry"
@@ -47,23 +49,21 @@ type row struct {
 	req  catalog.Request
 	// golden is a value recorded from the scalar observe plane at one
 	// worker, never re-recorded; nil makes the row's memory / 1-worker /
-	// replay-off / local cell its golden.
+	// replay-off / local / scalar cell its golden.
 	golden *catalog.Result
 	// pairwise is 0 to run the full product of the columns. The two golden
 	// instances, 1 and 2, share one pairwise cover instead, in which the
-	// instance is a fifth column.
+	// instance is a sixth column.
 	pairwise int
 }
 
 // goldenRows are the two golden instances, planted 2048×256 and 4096×512,
 // with their values recorded in adversarial order.
 func goldenRows() []row {
-	sc1, _ := streamcover.GeneratePlanted(1, 2048, 256, 5)
-	sc2, _ := streamcover.GeneratePlanted(2, 4096, 512, 6)
 	return []row{
-		{inst: sc1, req: catalog.Request{Alpha: 2, Seed: 7, SampleConstant: 2},
+		{inst: planted(1, 2048, 256, 5), req: catalog.Request{Alpha: 2, Seed: 7, SampleConstant: 2},
 			golden: &catalog.Result{Cover: []int{54, 64, 85, 210, 229}, Guess: 6, Passes: 3, SpaceWords: 339972}},
-		{inst: sc2, req: catalog.Request{Alpha: 3, Seed: 11, SampleConstant: 2},
+		{inst: planted(2, 4096, 512, 6), req: catalog.Request{Alpha: 3, Seed: 11, SampleConstant: 2},
 			golden: &catalog.Result{Cover: []int{85, 162, 226, 306, 386, 387}, Guess: 6, Passes: 3, SpaceWords: 402258}},
 	}
 }
@@ -79,26 +79,27 @@ func (r row) in(o string) row {
 }
 
 // cell is one point of the columns: backends[b], the matrix's w-th worker
-// count, replay and place. The zero cell is memory / 1 worker / replay off
-// / local.
+// count, replay, place and the matrix's k-th grid-kernel body. The zero
+// cell is memory / 1 worker / replay off / local / scalar.
 type cell struct {
 	b, w           int
 	replay, remote bool
+	k              int
 }
 
 // TestConformance is the determinism conformance matrix. Every cell of
 // backend × workers {1, 4, GOMAXPROCS, 0} × replay {off, on} × {local,
-// remote} must return its row's golden bit for bit: cover (in order), guess,
-// covered count, passes and peak words. Local cells run what covercli runs;
-// remote cells upload to coverd and solve with no_cache, on a scheduler with
-// replay on or one with DisableReplay. A cell with no meaning is skipped:
-// file backends apply only to setcover in adversarial order, and replay
-// only to setcover. A 256×64 instance runs the full product for every
-// catalog entry, order and seed; the two golden instances (2048×256 and
-// 4096×512) share a pairwise cover. CI's kernels job reruns the matrix
-// under each grid-kernel body, which makes it the kernel column.
+// remote} × grid kernel (bitset.GridKernels) must return its row's golden
+// bit for bit: cover (in order), guess, covered count, passes and peak
+// words. Local cells run what covercli runs; remote cells upload to coverd
+// and solve with no_cache, on a scheduler with replay on or one with
+// DisableReplay. A cell with no meaning is skipped: file backends apply
+// only to setcover in adversarial order, and replay and the kernel only to
+// setcover. A 256×64 instance runs the full product for every catalog
+// entry, order and seed, as do three more setcover instances; the two
+// golden instances (2048×256 and 4096×512) share a pairwise cover.
 func TestConformance(t *testing.T) {
-	small, _ := streamcover.GeneratePlanted(4, 256, 64, 4)
+	small := planted(4, 256, 64, 4)
 	uniform := streamcover.GenerateUniform(13, 2048, 256, 64, 512)
 	var rows []row
 	for _, algo := range catalog.Algos {
@@ -136,6 +137,14 @@ func TestConformance(t *testing.T) {
 		// golden is its discovery order.
 		row{inst: streamcover.GenerateUniform(9, 64, 48, 6, 14), req: catalog.Request{Algo: "exact"},
 			golden: &catalog.Result{Cover: []int{17, 4, 47, 2, 9, 14, 24, 35, 10, 13}}},
+		// The guess grid passes every lane-liveness regime here: all
+		// lanes live on the first pass, then fewer as guesses finish, down
+		// to the sole-live-lane kernels.
+		row{inst: planted(9, 600, 96, 6), req: catalog.Request{Alpha: 2, Seed: 17}},
+		row{inst: planted(21, 1024, 128, 4), req: catalog.Request{Alpha: 2, Epsilon: 0.5, SampleConstant: 2, Seed: 77}},
+		// Its file cells pin covercli -in's solve, whose output make
+		// serve-smoke diffs coverd against.
+		row{inst: planted(23, 1024, 128, 4), req: catalog.Request{Alpha: 2, Seed: 31, SampleConstant: 2}},
 	)
 	m := newMatrix(t)
 	for _, r := range rows {
@@ -153,13 +162,20 @@ func TestConformance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			m.check(t, r, func(c cell) bool {
 				// In adversarial order, any two values of any two of
-				// instance, backend, workers, replay and place meet in
-				// some cell.
+				// instance, backend, workers, replay, place and kernel
+				// meet in some cell.
 				return r.pairwise == 0 || c == cell{} ||
-					bit(c.replay) == (c.b+c.w)%2 && bit(c.remote) == (c.b+c.w/2)%2 && (c.b+c.w+c.w/2)%2 == r.pairwise-1
+					bit(c.replay) == (c.b+c.w)%2 && bit(c.remote) == (c.b+c.w/2)%2 && (c.b+c.w+c.w/2)%2 == r.pairwise-1 &&
+						c.k == (c.b/2+c.w)%len(m.kernels)
 			})
 		})
 	}
+}
+
+// planted is streamcover.GeneratePlanted's instance.
+func planted(seed uint64, n, m, opt int) *streamcover.Instance {
+	inst, _ := streamcover.GeneratePlanted(seed, n, m, opt)
+	return inst
 }
 
 func bit(b bool) int {
@@ -171,7 +187,8 @@ func bit(b bool) int {
 
 // The tests below are slices of the matrix, each run in full over the
 // columns its name is about: the same cell runner, worker column and
-// goldens as TestConformance, on local cells.
+// goldens as TestConformance, on local cells under the kernel body init
+// picked.
 
 // TestGuessGridMatchesScalarGolden: the golden rows solved from memory,
 // replay off, at each worker count.
@@ -181,7 +198,7 @@ func TestGuessGridMatchesScalarGolden(t *testing.T) {
 	for w, n := range m.workers {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 			for _, r := range rows {
-				m.check(t, r, func(c cell) bool { return c == cell{w: w} })
+				m.check(t, r, func(c cell) bool { return c == cell{w: w, k: m.ambient} })
 			}
 		})
 	}
@@ -195,7 +212,7 @@ func TestReplayPlanMatchesScalarGolden(t *testing.T) {
 	for w, n := range m.workers {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 			for _, r := range rows {
-				m.check(t, r, func(c cell) bool { return c == cell{w: w, replay: true} })
+				m.check(t, r, func(c cell) bool { return c == cell{w: w, replay: true, k: m.ambient} })
 			}
 		})
 	}
@@ -212,7 +229,7 @@ func TestReplayPlanMatchesHonest(t *testing.T) {
 		for w, n := range m.workers {
 			t.Run(fmt.Sprintf("%s/workers=%d", order, n), func(t *testing.T) {
 				for _, r := range rows {
-					m.check(t, r.in(order), func(c cell) bool { return c.b == 0 && c.w == w && !c.remote })
+					m.check(t, r.in(order), func(c cell) bool { return c.b == 0 && c.w == w && !c.remote && c.k == m.ambient })
 				}
 			})
 		}
@@ -227,80 +244,41 @@ func TestReplayFileSolveParity(t *testing.T) {
 	r := goldenRows()[0]
 	for w, n := range m.workers {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
-			m.check(t, r, func(c cell) bool { return c.b > 0 && c.w == w && !c.remote })
+			m.check(t, r, func(c cell) bool { return c.b > 0 && c.w == w && !c.remote && c.k == m.ambient })
 		})
 	}
-}
-
-// TestSolveParityAcrossStreamBackends: one instance streamed from every
-// backend at every worker count, replay off.
-func TestSolveParityAcrossStreamBackends(t *testing.T) {
-	inst, _ := streamcover.GeneratePlanted(21, 1024, 128, 4)
-	r := row{inst: inst, req: catalog.Request{Alpha: 2, Epsilon: 0.5, SampleConstant: 2, Seed: 77}}
-	m := newMatrix(t)
-	m.check(t, r, func(c cell) bool { return !c.replay && !c.remote })
-}
-
-// TestFileStreamSolveMatchesSolveSetCover: covercli -in's solve
-// (core.SolveStream + core.SolveFileRNG over each file codec) at the
-// default worker count against the in-memory solve. coverd's
-// determinism-over-the-wire contract rests on it: make serve-smoke diffs a
-// remote solve against this file-streamed output.
-func TestFileStreamSolveMatchesSolveSetCover(t *testing.T) {
-	inst, _ := streamcover.GeneratePlanted(23, 1024, 128, 4)
-	r := row{inst: inst, req: catalog.Request{Alpha: 2, Seed: 31, SampleConstant: 2}}
-	m := newMatrix(t)
-	m.check(t, r, func(c cell) bool {
-		return c.b > 0 && !backends[c.b].heap && m.workers[c.w] == 0 && !c.replay && !c.remote
-	})
 }
 
 // TestSolveSetCoverParallelDeterminism: setcover rows of two instance
 // families from memory at every worker count.
 func TestSolveSetCoverParallelDeterminism(t *testing.T) {
-	planted, _ := streamcover.GeneratePlanted(11, 2048, 256, 4)
+	planted11 := planted(11, 2048, 256, 4)
 	clustered := streamcover.GenerateClustered(12, 1024, 128, 8, 200)
 	m := newMatrix(t)
 	for _, tc := range []struct {
 		name string
 		r    row
 	}{
-		{"planted/adversarial", row{inst: planted, req: catalog.Request{Alpha: 2, Seed: 7, SampleConstant: 2}}},
-		{"planted/random-once", row{inst: planted, req: catalog.Request{Alpha: 2, Seed: 7, SampleConstant: 2, Order: "random-once"}}},
-		{"planted/random-each-pass", row{inst: planted, req: catalog.Request{Alpha: 3, Seed: 9, SampleConstant: 2, Order: "random-each-pass"}}},
+		{"planted/adversarial", row{inst: planted11, req: catalog.Request{Alpha: 2, Seed: 7, SampleConstant: 2}}},
+		{"planted/random-once", row{inst: planted11, req: catalog.Request{Alpha: 2, Seed: 7, SampleConstant: 2, Order: "random-once"}}},
+		{"planted/random-each-pass", row{inst: planted11, req: catalog.Request{Alpha: 3, Seed: 9, SampleConstant: 2, Order: "random-each-pass"}}},
 		{"clustered/greedy-subsolver", row{inst: clustered, req: catalog.Request{Alpha: 2, Seed: 5, SampleConstant: 2, GreedySubsolver: true}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m.check(t, tc.r, func(c cell) bool { return c.b == 0 && !c.replay && !c.remote })
+			m.check(t, tc.r, func(c cell) bool { return c.b == 0 && !c.replay && !c.remote && c.k == m.ambient })
 		})
 	}
 }
 
-// TestSolveMaxCoverageParallelDeterminism: maxcover rows, whose greedy
-// sub-solve evaluates candidates in parallel, from memory at every worker
-// count.
-func TestSolveMaxCoverageParallelDeterminism(t *testing.T) {
-	inst := streamcover.GenerateUniform(13, 2048, 256, 64, 512)
-	m := newMatrix(t)
-	for _, tc := range []struct {
-		name string
-		req  catalog.Request
-	}{
-		{"greedy/k8", catalog.Request{Algo: "maxcover", K: 8, Seed: 3, GreedySubsolver: true}},
-		{"exact/k2", catalog.Request{Algo: "maxcover", K: 2, Seed: 3}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m.check(t, row{inst: inst, req: tc.req}, func(c cell) bool { return c.b == 0 && !c.remote })
-		})
-	}
-}
-
-// matrix holds what the cells share: the worker column, the instance
-// files, one coverd per backend, the content hashes already uploaded to
-// each, and the goldens already solved.
+// matrix holds what the cells share: the worker and kernel columns, the
+// instance files, one coverd per backend, the content hashes already
+// uploaded to each, and the goldens already solved.
 type matrix struct {
 	workers []int
+	kernels []string
+	ambient int // the index in kernels of the body init picked
 	dir     string
+	mu      sync.Mutex // guards the instance files and hashes
 	servers []coverd
 	hashes  map[upload]string
 	goldens map[goldenKey]catalog.Result
@@ -324,7 +302,13 @@ type goldenKey struct {
 }
 
 func newMatrix(t *testing.T) *matrix {
-	m := &matrix{dir: t.TempDir(), hashes: map[upload]string{}, goldens: map[goldenKey]catalog.Result{}}
+	m := &matrix{kernels: bitset.GridKernels(), dir: t.TempDir(), hashes: map[upload]string{}, goldens: map[goldenKey]catalog.Result{}}
+	m.ambient = slices.Index(m.kernels, bitset.GridKernel())
+	t.Cleanup(func() {
+		if err := bitset.SetGridKernel(m.kernels[m.ambient]); err != nil {
+			t.Error(err)
+		}
+	})
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0), 0} {
 		if !slices.Contains(m.workers, w) {
 			m.workers = append(m.workers, w)
@@ -352,7 +336,10 @@ func newMatrix(t *testing.T) *matrix {
 
 // check runs the cells of r that keep selects and requires each to equal
 // r's golden. A cell with no meaning is skipped: file backends apply only
-// to setcover in adversarial order, and replay only to setcover.
+// to setcover in adversarial order, and replay and the kernel only to
+// setcover. The kernel switch is process-wide, so the cells of one body
+// run together, GOMAXPROCS at a time (at most 8, well inside a coverd
+// queue), before the next body's.
 func (m *matrix) check(t *testing.T, r row, keep func(cell) bool) {
 	t.Helper()
 	req, err := catalog.Normalize(r.req)
@@ -364,33 +351,53 @@ func (m *matrix) check(t *testing.T, r row, keep func(cell) bool) {
 	if want == nil {
 		want = m.golden(t, r.inst, req)
 	}
-	for b := range backends {
-		for w := range m.workers {
-			for _, replay := range []bool{false, true} {
-				for _, remote := range []bool{false, true} {
-					c := cell{b, w, replay, remote}
-					switch {
-					case b > 0 && !(setcover && req.Order == "adversarial"), replay && !setcover, !keep(c):
-						continue
-					case c == cell{} && r.golden == nil:
-						continue // the golden itself
-					}
-					if got, ok := m.solve(t, r.inst, req, c); ok && !reflect.DeepEqual(got, *want) {
-						t.Errorf("%s: got %+v, want %+v", m.name(c), got, *want)
+	for k, kernel := range m.kernels {
+		var cells []cell
+		for b := range backends {
+			for w := range m.workers {
+				for _, replay := range []bool{false, true} {
+					for _, remote := range []bool{false, true} {
+						c := cell{b, w, replay, remote, k}
+						switch {
+						case b > 0 && !(setcover && req.Order == "adversarial"), (replay || k > 0) && !setcover, !keep(c):
+							continue
+						case c == cell{} && r.golden == nil:
+							continue // the golden itself
+						}
+						cells = append(cells, c)
 					}
 				}
 			}
 		}
+		if err := bitset.SetGridKernel(kernel); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		slots := make(chan struct{}, min(runtime.GOMAXPROCS(0), 8))
+		for _, c := range cells {
+			wg.Add(1)
+			slots <- struct{}{}
+			go func() {
+				defer func() { <-slots; wg.Done() }()
+				if got, ok := m.solve(t, r.inst, req, c); ok && !reflect.DeepEqual(got, *want) {
+					t.Errorf("%s: got %+v, want %+v", m.name(c), got, *want)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
-// golden returns the memory / 1-worker / replay-off / local cell of a row
-// with no recorded golden, solving it once per matrix.
+// golden returns the memory / 1-worker / replay-off / local / scalar cell
+// of a row with no recorded golden, solving it once per matrix.
 func (m *matrix) golden(t *testing.T, inst *streamcover.Instance, req catalog.Request) *catalog.Result {
 	t.Helper()
 	k := goldenKey{inst, req}
 	g, ok := m.goldens[k]
 	if !ok {
+		if err := bitset.SetGridKernel(m.kernels[0]); err != nil {
+			t.Fatal(err)
+		}
 		if g, ok = m.solve(t, inst, req, cell{}); !ok {
 			t.FailNow()
 		}
@@ -400,11 +407,12 @@ func (m *matrix) golden(t *testing.T, inst *streamcover.Instance, req catalog.Re
 }
 
 func (m *matrix) name(c cell) string {
-	return fmt.Sprintf("%s/workers=%d/replay=%t/remote=%t", backends[c.b].name, m.workers[c.w], c.replay, c.remote)
+	return fmt.Sprintf("%s/workers=%d/replay=%t/remote=%t/kernel=%s", backends[c.b].name, m.workers[c.w], c.replay, c.remote, m.kernels[c.k])
 }
 
-// solve runs cell c and checks that a set cover result covers; it reports
-// false if the solve failed.
+// solve runs cell c, whose kernel body the caller has switched to, and
+// checks that a set cover result covers; it reports false if the solve
+// failed.
 func (m *matrix) solve(t *testing.T, inst *streamcover.Instance, req catalog.Request, c cell) (catalog.Result, bool) {
 	t.Helper()
 	got, err := m.run(t.Context(), inst, req, c)
@@ -424,6 +432,8 @@ func (m *matrix) file(inst *streamcover.Instance, b int) (string, error) {
 	if backends[b].encode == nil {
 		return "", nil
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	path := filepath.Join(m.dir, fmt.Sprintf("%p.%s", inst, backends[b].ext))
 	if _, err := os.Stat(path); err == nil {
 		return path, nil
@@ -492,38 +502,18 @@ func (m *matrix) run(ctx context.Context, inst *streamcover.Instance, req catalo
 	return catalog.Run(ctx, loaded, req, env)
 }
 
-// remote solves one cell on backend b's coverd, uploading the instance
-// (or, for scb2-mmap, loading its file) the first time.
+// remote solves one cell on backend b's coverd.
 func (m *matrix) remote(ctx context.Context, inst *streamcover.Instance, path string, req catalog.Request, b, workers int, replay bool) (catalog.Result, error) {
-	d := m.servers[b]
-	key := upload{inst, b}
-	hash, ok := m.hashes[key]
-	if !ok {
-		var err error
-		var up client.UploadResponse
-		switch {
-		case path == "":
-			up, err = d.on.UploadInstance(ctx, inst)
-		case backends[b].mmap:
-			up.Hash, _, err = d.reg.LoadFile(path)
-		default:
-			var f *os.File
-			if f, err = os.Open(path); err == nil {
-				up, err = d.on.UploadReader(ctx, f)
-				f.Close()
-			}
-		}
-		if err != nil {
-			return catalog.Result{}, err
-		}
-		hash, m.hashes[key] = up.Hash, up.Hash
+	hash, err := m.upload(ctx, inst, path, b)
+	if err != nil {
+		return catalog.Result{}, err
 	}
 	// Workers is not in the result-cache key, so without no_cache a second
 	// worker count would only read the cache.
 	req.Instance, req.Workers, req.NoCache = hash, workers, true
-	c := d.off
+	c := m.servers[b].off
 	if replay {
-		c = d.on
+		c = m.servers[b].on
 	}
 	job, err := c.Solve(ctx, req)
 	if err != nil {
@@ -533,4 +523,34 @@ func (m *matrix) remote(ctx context.Context, inst *streamcover.Instance, path st
 		return catalog.Result{}, fmt.Errorf("job %s: %s", job.Status, job.Error)
 	}
 	return *job.Result, nil
+}
+
+// upload returns inst's content hash on backend b's coverd, uploading the
+// instance (or, for scb2-mmap, loading its file) the first time.
+func (m *matrix) upload(ctx context.Context, inst *streamcover.Instance, path string, b int) (string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	key := upload{inst, b}
+	if hash, ok := m.hashes[key]; ok {
+		return hash, nil
+	}
+	d := m.servers[b]
+	var up client.UploadResponse
+	var err error
+	switch {
+	case path == "":
+		up, err = d.on.UploadInstance(ctx, inst)
+	case backends[b].mmap:
+		up.Hash, _, err = d.reg.LoadFile(path)
+	default:
+		var f *os.File
+		if f, err = os.Open(path); err == nil {
+			up, err = d.on.UploadReader(ctx, f)
+			f.Close()
+		}
+	}
+	if err == nil {
+		m.hashes[key] = up.Hash
+	}
+	return up.Hash, err
 }

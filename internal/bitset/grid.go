@@ -180,8 +180,8 @@ func (g *Grid) LaneBitset(lane int) *Bitset {
 // lanes hold no bits, so their counts never change).
 //
 // This is the dispatched kernel: the body is the scalar loop below or the
-// AVX2 assembly body, selected at init by CPU capability and the
-// STREAMCOVER_KERNEL knob (see SetGridKernel). Both bodies are bit-exact.
+// AVX2 assembly body, selected at init by CPU capability (tests switch it
+// with SetGridKernel). Both bodies are bit-exact.
 func (g *Grid) AndCountRuns(runs []Run, counts []int64) {
 	if len(counts) < g.stride {
 		panic(fmt.Sprintf("bitset: counts length %d shorter than grid width %d", len(counts), g.stride))

@@ -2,7 +2,6 @@ package bitset
 
 import (
 	"fmt"
-	"os"
 	"sync/atomic"
 )
 
@@ -10,17 +9,9 @@ import (
 //
 // Exactly one body of Grid.AndCountRuns executes per process state: the
 // pure-Go scalar body (always present, the bit-exact reference) or the AVX2
-// assembly body (amd64 with AVX2, detected via CPUID+XGETBV at init). The
-// choice is a process-wide switch read per call, so tests can force either
-// body and compare them on identical inputs.
-
-// KernelEnv is the environment variable consulted at init to pin the kernel
-// body: "scalar" forces the pure-Go body, "avx2" requests the AVX2 body
-// (silently falling back to scalar where unsupported). Unset or any other
-// value selects automatically by CPU capability. The CI scalar leg sets
-// STREAMCOVER_KERNEL=scalar so the fallback body stays exercised on AVX2
-// machines.
-const KernelEnv = "STREAMCOVER_KERNEL"
+// assembly body (amd64 with AVX2, detected via CPUID+XGETBV at init). Init
+// picks the body by CPU alone; the choice is a process-wide switch read per
+// call, so tests can run every body on identical inputs in one process.
 
 // KernelScalar and KernelAVX2 name the two kernel bodies for
 // SetGridKernel/GridKernel.
@@ -30,20 +21,13 @@ const (
 )
 
 // avx2Active is the dispatch switch: true means Grid.AndCountRuns uses the
-// AVX2 body. It is atomic only so parity tests may flip it without racing
+// AVX2 body. It is atomic only so tests may flip it without racing
 // concurrent solves; production code sets it once at init.
 var avx2Active atomic.Bool
 
 func useAVX2Kernel() bool { return avx2Active.Load() }
 
-func init() {
-	switch os.Getenv(KernelEnv) {
-	case KernelScalar:
-		avx2Active.Store(false)
-	default:
-		avx2Active.Store(archHasAVX2)
-	}
-}
+func init() { avx2Active.Store(archHasAVX2) }
 
 // GridKernel reports the name of the active Grid kernel body: "avx2" or
 // "scalar".

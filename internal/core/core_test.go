@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"slices"
 	"testing"
 	"testing/quick"
 
-	"streamcover/internal/bitset"
 	"streamcover/internal/offline"
 	"streamcover/internal/rng"
 	"streamcover/internal/setsystem"
@@ -296,52 +294,6 @@ func TestPrunePickBound(t *testing.T) {
 		bound := int(eps*float64(guess)) + 1
 		if got := run.PrunePicked(); got > bound {
 			t.Fatalf("guess=%d: prune picked %d sets > ε·õpt bound %d", guess, got, bound)
-		}
-	}
-}
-
-// TestSolveKernelParity runs identical solves under every grid kernel body
-// available on this machine and requires bit-identical results and space
-// accounting — the end-to-end half of the dispatch parity contract (the
-// bitset package pins the kernels word by word). The guess grid passes
-// through every lane-liveness regime: all lanes live on the first pass,
-// then progressively fewer as guesses finish, down to the one-live scalar
-// fallback path.
-func TestSolveKernelParity(t *testing.T) {
-	kernels := bitset.GridKernels()
-	if len(kernels) < 2 {
-		t.Logf("only %v available; parity degenerates to self-comparison", kernels)
-	}
-	prev := bitset.GridKernel()
-	defer func() {
-		if err := bitset.SetGridKernel(prev); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	inst, _ := setsystem.PlantedCover(rng.New(9), 600, 96, 6, 0.6)
-	for _, workers := range []int{1, 4} {
-		var ref Result
-		var refAcc stream.Accounting
-		for ki, kernel := range kernels {
-			if err := bitset.SetGridKernel(kernel); err != nil {
-				t.Fatal(err)
-			}
-			res, acc, err := Solve(inst, stream.Adversarial, Config{Alpha: 2, Workers: workers}, rng.New(17))
-			if err != nil {
-				t.Fatalf("kernel=%s workers=%d: %v", kernel, workers, err)
-			}
-			if ki == 0 {
-				ref, refAcc = res, acc
-				continue
-			}
-			if !slices.Equal(res.Cover, ref.Cover) || res.Guess != ref.Guess {
-				t.Fatalf("kernel=%s workers=%d: cover %v (guess %d) differs from %s's %v (guess %d)",
-					kernel, workers, res.Cover, res.Guess, kernels[0], ref.Cover, ref.Guess)
-			}
-			if acc != refAcc {
-				t.Fatalf("kernel=%s workers=%d: accounting %+v differs from %s's %+v",
-					kernel, workers, acc, kernels[0], refAcc)
-			}
 		}
 	}
 }

@@ -33,11 +33,6 @@ type SampledConfig struct {
 	// Exact solves the sampled instance optimally when true (feasible for
 	// small K); otherwise greedy is used, costing an extra (1−1/e) factor.
 	Exact bool
-	// Workers is the parallelism of the greedy sub-solve's per-round
-	// candidate gain scan (0 = GOMAXPROCS, 1 = sequential). The chosen sets
-	// are identical at every worker count: ties break toward the lowest set
-	// index exactly as in the sequential scan.
-	Workers int
 	// Context, when non-nil, cancels the exact offline sub-solve of EndPass
 	// cooperatively (branch-and-bound polls it every few thousand nodes);
 	// the stream driver handles cancellation between Observe chunks.
@@ -141,7 +136,7 @@ func (a *SampledKCover) EndPass() bool {
 		}
 		picked = chosen
 	} else {
-		picked, _ = offline.MaxCoverGreedyWorkers(sub, a.cfg.K, a.cfg.Workers)
+		picked, _ = offline.MaxCoverGreedy(sub, a.cfg.K)
 	}
 	for _, local := range picked {
 		a.chosen = append(a.chosen, a.projIDs[local])

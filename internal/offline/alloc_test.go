@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"streamcover/internal/bitset"
+	"streamcover/internal/hardinst"
 	"streamcover/internal/rng"
 	"streamcover/internal/setsystem"
 )
@@ -98,5 +99,22 @@ func TestExactAllocsBuildOnce(t *testing.T) {
 	})
 	if allocs > 200 {
 		t.Fatalf("Exact allocates %.0f objects, want <= 200", allocs)
+	}
+}
+
+// TestMaxCoverExactAllocs pins the k = 2 max-coverage solve E6 and E12 run
+// on D_MC draws to one set-bitset build, shared by the greedy starting
+// bound and the search, one scratch bitset per search depth and one
+// bound-selection buffer, rather than allocations per search node.
+func TestMaxCoverExactAllocs(t *testing.T) {
+	inst := hardinst.SampleMaxCover(hardinst.MCParams{M: 8, Eps: 0.125}, 1, rng.New(3)).Inst
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := MaxCoverExact(inst, 2, ExactConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("MaxCoverExact(k=2) on n=%d m=%d: %.0f allocs", inst.N, inst.M(), allocs)
+	if allocs > 20 {
+		t.Fatalf("MaxCoverExact(k=2) allocates %.0f objects, want <= 20", allocs)
 	}
 }

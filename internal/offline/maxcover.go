@@ -4,34 +4,31 @@ import (
 	"context"
 
 	"streamcover/internal/bitset"
-	"streamcover/internal/parallel"
 	"streamcover/internal/setsystem"
 )
 
 // MaxCoverGreedy returns the classical greedy (1−1/e)-approximate maximum
 // k-coverage: the chosen set indices and the number of covered elements.
-// Fewer than k sets are returned if the whole union is covered early.
+// Each round takes the set of largest marginal gain, the lowest index on
+// ties. Fewer than k sets are returned if the whole union is covered early.
 func MaxCoverGreedy(in *setsystem.Instance, k int) ([]int, int) {
-	return MaxCoverGreedyWorkers(in, k, 1)
+	return maxCoverGreedy(in.Bitsets(), in.N, k)
 }
 
-// MaxCoverGreedyWorkers is MaxCoverGreedy with the per-round candidate gain
-// scan fanned out across workers (<= 0 selects GOMAXPROCS, matching the
-// convention of core.Config.Workers): each round evaluates every candidate's
-// marginal coverage concurrently and takes the deterministic argmax (highest
-// gain, lowest index on ties — the same set the sequential scan picks), so
-// the chosen cover is bit-identical at every worker count.
-func MaxCoverGreedyWorkers(in *setsystem.Instance, k, workers int) ([]int, int) {
-	w := parallel.Workers(workers)
-	covered := bitset.New(in.N)
-	sets := in.Bitsets()
+// maxCoverGreedy is MaxCoverGreedy over built set bitsets, which
+// MaxCoverExact shares with its search.
+func maxCoverGreedy(sets []*bitset.Bitset, n, k int) ([]int, int) {
+	covered := bitset.New(n)
 	var chosen []int
 	total := 0
 	for len(chosen) < k {
-		best, gain := parallel.ArgMax(w, len(sets), func(i int) int {
-			return sets[i].AndNotCount(covered)
-		})
-		if best < 0 || gain == 0 {
+		best, gain := -1, 0
+		for i, s := range sets {
+			if g := s.AndNotCount(covered); g > gain {
+				best, gain = i, g
+			}
+		}
+		if best < 0 {
 			break
 		}
 		chosen = append(chosen, best)
@@ -62,26 +59,28 @@ func MaxCoverExact(in *setsystem.Instance, k int, cfg ExactConfig) ([]int, int, 
 	if budget == 0 {
 		budget = defaultNodeBudget
 	}
-	greedyChosen, greedyCov := MaxCoverGreedy(in, k)
+	sets := in.Bitsets()
 	e := &mcSearcher{
-		sets:    in.Bitsets(),
-		sizes:   make([]int, in.M()),
-		budget:  budget,
-		ctx:     cfg.Context,
-		bestCov: greedyCov,
-		best:    append([]int(nil), greedyChosen...),
+		n:      in.N,
+		sets:   sets,
+		sizes:  make([]int, in.M()),
+		budget: budget,
+		ctx:    cfg.Context,
+		stack:  make([]int, 0, k),
+		top:    make([]int, 0, k),
 	}
+	e.best, e.bestCov = maxCoverGreedy(sets, in.N, k)
 	for i := range e.sizes {
 		e.sizes[i] = in.SetLen(i)
 	}
-	covered := bitset.New(in.N)
-	if err := e.dfs(0, k, covered, 0); err != nil {
+	if err := e.dfs(0, k, bitset.New(in.N), 0, 0); err != nil {
 		return nil, 0, err
 	}
 	return e.best, e.bestCov, nil
 }
 
 type mcSearcher struct {
+	n       int
 	sets    []*bitset.Bitset
 	sizes   []int
 	budget  int64
@@ -90,10 +89,22 @@ type mcSearcher struct {
 	best    []int
 	bestCov int
 	stack   []int
+	top     []int            // sumKLargest's selection buffer
+	scratch []*bitset.Bitset // per-depth covered sets (scratchAt)
 }
 
-// dfs tries choosing sets from index `from` with `k` picks remaining.
-func (e *mcSearcher) dfs(from, k int, covered *bitset.Bitset, cov int) error {
+// scratchAt returns the depth-d covered scratch bitset, growing the pool
+// on first descent to that depth.
+func (e *mcSearcher) scratchAt(depth int) *bitset.Bitset {
+	for len(e.scratch) <= depth {
+		e.scratch = append(e.scratch, bitset.New(e.n))
+	}
+	return e.scratch[depth]
+}
+
+// dfs tries choosing sets from index `from` with `k` picks remaining, with
+// depth indexing the scratch pool.
+func (e *mcSearcher) dfs(from, k int, covered *bitset.Bitset, cov, depth int) error {
 	e.nodes++
 	if e.nodes > e.budget {
 		return ErrBudget
@@ -112,18 +123,19 @@ func (e *mcSearcher) dfs(from, k int, covered *bitset.Bitset, cov int) error {
 	}
 	// Upper bound: current coverage + the k largest remaining set sizes
 	// (each gain is at most the set's size).
-	if ub := cov + sumKLargest(e.sizes[from:], k); ub <= e.bestCov {
+	if ub := cov + sumKLargest(e.sizes[from:], k, e.top); ub <= e.bestCov {
 		return nil
 	}
 	for i := from; i < len(e.sets); i++ {
 		gain := e.sets[i].AndNotCount(covered)
-		if cov+gain+sumKLargest(e.sizes[i+1:], k-1) <= e.bestCov {
+		if cov+gain+sumKLargest(e.sizes[i+1:], k-1, e.top) <= e.bestCov {
 			continue
 		}
-		next := covered.Clone()
+		next := e.scratchAt(depth)
+		next.CopyFrom(covered)
 		next.Or(e.sets[i])
 		e.stack = append(e.stack, i)
-		if err := e.dfs(i+1, k-1, next, cov+gain); err != nil {
+		if err := e.dfs(i+1, k-1, next, cov+gain, depth+1); err != nil {
 			return err
 		}
 		e.stack = e.stack[:len(e.stack)-1]
@@ -131,7 +143,9 @@ func (e *mcSearcher) dfs(from, k int, covered *bitset.Bitset, cov int) error {
 	return nil
 }
 
-func sumKLargest(sizes []int, k int) int {
+// sumKLargest returns the sum of the k largest sizes, selecting them in
+// top[:0], which needs capacity k to stay allocation-free.
+func sumKLargest(sizes []int, k int, top []int) int {
 	if k <= 0 {
 		return 0
 	}
@@ -143,7 +157,7 @@ func sumKLargest(sizes []int, k int) int {
 		return total
 	}
 	// Small k in practice: selection by repeated max.
-	top := make([]int, 0, k)
+	top = top[:0]
 	for _, s := range sizes {
 		if len(top) < k {
 			top = append(top, s)

@@ -269,7 +269,7 @@ func TestSumKLargest(t *testing.T) {
 	sizes := []int{3, 9, 1, 7, 5}
 	cases := []struct{ k, want int }{{0, 0}, {1, 9}, {2, 16}, {3, 21}, {5, 25}, {10, 25}}
 	for _, c := range cases {
-		if got := sumKLargest(sizes, c.k); got != c.want {
+		if got := sumKLargest(sizes, c.k, nil); got != c.want {
 			t.Errorf("sumKLargest(k=%d) = %d, want %d", c.k, got, c.want)
 		}
 	}

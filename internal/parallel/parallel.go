@@ -1,5 +1,5 @@
 // Package parallel is the multi-core layer of streamcover: the worker-count
-// entry point to the pass driver, and a deterministic parallel argmax.
+// entry point to the pass driver.
 //
 // The paper's õpt-guessing wrapper runs a (1+ε)-geometric grid of Algorithm 1
 // instances "in parallel" over the same stream passes; the guesses are
@@ -24,7 +24,6 @@ package parallel
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"streamcover/internal/stream"
 )
@@ -64,85 +63,4 @@ func Run(s stream.Stream, children []stream.PassAlgorithm, cfg Config) (stream.A
 		ctx = context.Background()
 	}
 	return stream.Drive(ctx, s, children, Workers(cfg.Workers), cfg.MaxPasses, cfg.Trace)
-}
-
-// minInline is the candidate count below which ArgMax runs inline
-// regardless of the worker count: goroutine startup dwarfs the work.
-const minInline = 32
-
-// maxArgMaxWorkers caps the fan-out so the scratch's per-worker result
-// arrays can live inline in the pooled struct instead of per-call slices.
-const maxArgMaxWorkers = 64
-
-// argmaxScratch is the reusable per-call state of a parallel ArgMax:
-// fixed-size result arrays replace the two per-call slice allocations, and
-// the struct (including its WaitGroup) is recycled through a sync.Pool.
-// The remaining per-call cost is one small closure allocation per spawned
-// goroutine — unavoidable with per-call goroutines — bounded by the
-// AllocsPerRun guard in the tests.
-type argmaxScratch struct {
-	wg     sync.WaitGroup
-	w, n   int
-	score  func(i int) int
-	idxs   [maxArgMaxWorkers]int
-	scores [maxArgMaxWorkers]int
-}
-
-var argmaxPool = sync.Pool{New: func() any { return new(argmaxScratch) }}
-
-func (sc *argmaxScratch) run(wi int) {
-	lo, hi := wi*sc.n/sc.w, (wi+1)*sc.n/sc.w
-	sc.idxs[wi], sc.scores[wi] = argMaxRange(lo, hi, sc.score)
-	sc.wg.Done()
-}
-
-// ArgMax returns the index in [0, n) maximizing score, and the maximum
-// itself, evaluating candidates across w workers (w <= 1 runs inline). Ties
-// break toward the lowest index — exactly the outcome of a sequential
-// first-strictly-greater scan — so the result is independent of w. score
-// must be safe to call concurrently for distinct i. Returns (-1, 0) when
-// n <= 0.
-func ArgMax(w, n int, score func(i int) int) (best, bestScore int) {
-	if n <= 0 {
-		return -1, 0
-	}
-	if w > n {
-		w = n
-	}
-	if w > maxArgMaxWorkers {
-		w = maxArgMaxWorkers
-	}
-	if w <= 1 || n < minInline {
-		return argMaxRange(0, n, score)
-	}
-	sc := argmaxPool.Get().(*argmaxScratch)
-	sc.w, sc.n, sc.score = w, n, score
-	sc.wg.Add(w - 1)
-	for wi := 1; wi < w; wi++ {
-		go sc.run(wi)
-	}
-	// The caller's goroutine scans worker 0's range itself instead of
-	// idling in Wait.
-	best, bestScore = argMaxRange(0, n/w, score)
-	sc.wg.Wait()
-	// Workers own ascending contiguous ranges, so combining in worker order
-	// with a strict > keeps the lowest index among maximal scores.
-	for wi := 1; wi < w; wi++ {
-		if sc.scores[wi] > bestScore {
-			best, bestScore = sc.idxs[wi], sc.scores[wi]
-		}
-	}
-	sc.score = nil
-	argmaxPool.Put(sc)
-	return best, bestScore
-}
-
-func argMaxRange(lo, hi int, score func(i int) int) (best, bestScore int) {
-	best, bestScore = lo, score(lo)
-	for i := lo + 1; i < hi; i++ {
-		if s := score(i); s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best, bestScore
 }

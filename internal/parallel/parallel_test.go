@@ -324,38 +324,3 @@ func TestWorkers(t *testing.T) {
 		t.Errorf("Workers(<=0) = %d, %d; want >= 1", Workers(0), Workers(-1))
 	}
 }
-
-// TestArgMaxDeterministic checks that ArgMax equals the sequential
-// first-strictly-greater scan — including lowest-index tie-breaks — at every
-// worker count, above and below the inline threshold.
-func TestArgMaxDeterministic(t *testing.T) {
-	cases := [][]int{
-		{},
-		{5},
-		{0, 0, 0, 0},
-		{1, 3, 3, 2, 3},
-		make([]int, 100),
-		nil,
-	}
-	// A large case with many ties: score collisions every 17 indices.
-	big := make([]int, 257)
-	for i := range big {
-		big[i] = (i * 31 % 17) * 2
-	}
-	cases = append(cases, big)
-	for ci, scores := range cases {
-		wantIdx, wantScore := -1, 0
-		for i, s := range scores {
-			if wantIdx < 0 || s > wantScore {
-				wantIdx, wantScore = i, s
-			}
-		}
-		for _, w := range []int{1, 2, 3, 7, 16} {
-			idx, score := ArgMax(w, len(scores), func(i int) int { return scores[i] })
-			if idx != wantIdx || (wantIdx >= 0 && score != wantScore) {
-				t.Errorf("case %d workers %d: ArgMax = (%d, %d), want (%d, %d)",
-					ci, w, idx, score, wantIdx, wantScore)
-			}
-		}
-	}
-}

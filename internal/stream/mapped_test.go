@@ -7,62 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"streamcover/internal/rng"
 	"streamcover/internal/setsystem"
 )
-
-func writeSCB2(t *testing.T, in *setsystem.Instance) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "inst.scb2")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := setsystem.WriteSCB2(f, in); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestMappedStreamMatchesInstanceStream drives two passes over the mapped
-// stream and checks every item against the in-memory stream of the same
-// instance.
-func TestMappedStreamMatchesInstanceStream(t *testing.T) {
-	inst := setsystem.Zipf(rng.New(6), 256, 48, 1.5, 64)
-	ms, err := OpenMapped(writeSCB2(t, inst))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
-	if ms.Universe() != inst.N || ms.Len() != inst.M() {
-		t.Fatalf("mapped stream metadata n=%d m=%d, want n=%d m=%d",
-			ms.Universe(), ms.Len(), inst.N, inst.M())
-	}
-	ref := FromInstance(inst, Adversarial, nil)
-	for pass := 0; pass < 2; pass++ {
-		ms.Reset()
-		ref.Reset()
-		for {
-			got, ok1 := ms.Next()
-			want, ok2 := ref.Next()
-			if ok1 != ok2 {
-				t.Fatalf("pass %d: stream lengths diverge", pass)
-			}
-			if !ok1 {
-				break
-			}
-			if got.ID != want.ID || !reflect.DeepEqual(got.Elems, want.Elems) {
-				t.Fatalf("pass %d: item %d differs: %v vs %v", pass, got.ID, got.Elems, want.Elems)
-			}
-		}
-	}
-	if err := PassErr(ms); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestOpenDispatch pins the codec sniff: text and SCB1 → FileStream, SCB2
 // → MappedFileStream.

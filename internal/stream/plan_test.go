@@ -160,7 +160,7 @@ func TestBuildPlanRejectsMalformedSource(t *testing.T) {
 // copy the elements rather than alias them.
 func TestBuildPlanOverBinaryFileStream(t *testing.T) {
 	in := planTestInstance()
-	path := writeTempBinaryInstance(t, in)
+	path := writeInstance(t, in, setsystem.WriteBinary)
 	fs, err := OpenBinaryFile(path)
 	if err != nil {
 		t.Fatal(err)

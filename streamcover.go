@@ -154,10 +154,10 @@ func WithOptimumHint(k int) Option { return func(o *options) { o.optHint = k } }
 // in-flight job when the requesting client goes away.
 func WithContext(ctx context.Context) Option { return func(o *options) { o.ctx = ctx } }
 
-// WithParallelism sets the worker-pool size used to fan the per-guess runs
-// out across cores (and, in SolveMaxCoverage's greedy sub-solve, the
-// per-round candidate gain scan): p <= 0 selects GOMAXPROCS (the default),
-// p == 1 runs the guess grid inline on the caller's goroutine.
+// WithParallelism sets the worker-pool size used to fan SolveSetCover's
+// per-guess runs out across cores: p <= 0 selects GOMAXPROCS (the
+// default), p == 1 runs the guess grid inline on the caller's goroutine.
+// SolveMaxCoverage reads one pass and solves one sample, so it ignores p.
 // For a fixed seed the result — cover, guess, passes, space accounting — is
 // bit-identical at every p; parallelism changes only wall-clock time. See
 // the package documentation for the determinism contract.
@@ -291,8 +291,7 @@ func SolveMaxCoverage(inst *Instance, k int, opts ...Option) (MaxCoverageResult,
 	}
 	r := rng.New(o.seed)
 	alg := maxcover.NewSampledKCover(inst.N, inst.M(), maxcover.SampledConfig{
-		K: k, Eps: o.eps, Exact: !o.greedySub, SampleC: o.sampleC, Workers: o.workers,
-		Context: o.ctx,
+		K: k, Eps: o.eps, Exact: !o.greedySub, SampleC: o.sampleC, Context: o.ctx,
 	}, r.Split("sample"))
 	var orderRNG *rng.RNG
 	if o.order != Adversarial {
